@@ -6,21 +6,21 @@ delay of a simulated batch of appends to the resulting active segment,
 population is culled against a threshold proportional to the mean
 fitness and the culled slots are re-seeded; the best split ever seen is
 kept (elitist) and returned.
+
+The batch is priced arithmetically from the active segment's length
+m = min(s, L - s): a consistent block always links to the segment tip
+and a tampered one never does, so each slot's flag alone decides
+between an append delay and a rejection delay, and no chain is copied
+or block hashed. The tamper slots are seeded by m as well, so one
+search prices each distinct m once and reuses it for every split
+(including mirrored ones) with that active length.
 """
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .ledger import (
-    Chain,
-    ChainCostModel,
-    SidechainConfig,
-    active_segment,
-    append,
-    make_block,
-    split,
-)
+from .ledger import Chain, ChainCostModel, SidechainConfig, append_delay, rejection_delay
 from .seeding import mix64
 
 _FITNESS_TAG = 0xF17
@@ -75,15 +75,14 @@ def spawn_population(cfg: BfoConfig, chain_len: int, rng: random.Random) -> List
     ]
 
 
-def evaluate_append_run(active: Chain, slots: Sequence[bool],
-                        miners: Sequence[Tuple[int, float]],
-                        cost: ChainCostModel) -> float:
-    """Run the append batch and return the fitness.
+def _price_batch(length: int, slots: Sequence[bool],
+                 miners: Sequence[Tuple[int, float]],
+                 cost: ChainCostModel) -> float:
+    """Fitness of an append batch on a segment of `length` blocks.
 
-    slots[i] says whether append i carries a consistent block. Miners
-    are (id, trust_score) pairs taken round-robin. The result is
-    mean(trust-weighted accepted-append delays) plus
-    mean(trust-weighted rejection delays). Mutates `active`; pass a copy.
+    An accepted append grows the segment and costs append_delay at the
+    new length; a rejected one costs rejection_delay at the current
+    length. Both are weighted by the appending miner's trust score.
     """
     if not miners:
         raise ValueError("need at least one miner")
@@ -91,20 +90,15 @@ def evaluate_append_run(active: Chain, slots: Sequence[bool],
         raise ValueError("empty append batch")
     ok_sum = ok_n = bad_sum = bad_n = 0
     for i, consistent in enumerate(slots):
-        miner_id, miner_tl = miners[i % len(miners)]
-        block = make_block(
-            index=len(active),
-            miner=miner_id,
-            payload=b"eval:%d:%d" % (i, miner_id),
-            prev_digest=active.tip_digest(),
-            tamper=not consistent,
-        )
-        active, delay, accepted = append(active, block, miner_tl, cost)
-        if accepted:
-            ok_sum += delay * miner_tl
+        _, miner_tl = miners[i % len(miners)]
+        if miner_tl < 0:
+            raise ValueError("miner trust score cannot be negative")
+        if consistent:
+            length += 1
+            ok_sum += append_delay(length, cost) * miner_tl
             ok_n += 1
         else:
-            bad_sum += delay * miner_tl
+            bad_sum += rejection_delay(length, cost) * miner_tl
             bad_n += 1
     fitness = 0.0
     if ok_n:
@@ -114,22 +108,34 @@ def evaluate_append_run(active: Chain, slots: Sequence[bool],
     return fitness
 
 
+def evaluate_append_run(active: Chain, slots: Sequence[bool],
+                        miners: Sequence[Tuple[int, float]],
+                        cost: ChainCostModel) -> float:
+    """Run the append batch against `active` and return the fitness.
+
+    slots[i] says whether append i carries a consistent block. Miners
+    are (id, trust_score) pairs taken round-robin. The result is
+    mean(trust-weighted accepted-append delays) plus
+    mean(trust-weighted rejection delays). Only the length of `active`
+    matters, and `active` is left unchanged.
+    """
+    return _price_batch(len(active), slots, miners, cost)
+
+
 def split_fitness(b: Bacterium, chain: Chain, cost: ChainCostModel,
                   miners: Sequence[Tuple[int, float]], n_eval: int,
                   rng: random.Random) -> float:
-    """Fitness of one proposed split, on a throwaway copy of the chain.
+    """Fitness of one proposed split; the chain is not touched.
 
     One tenth of the appends are tampered; their positions in the batch
     are drawn without replacement from the given rng.
     """
     cfg = SidechainConfig(split_point=b.split_point, total_len=len(chain))
-    part_a, part_b = split(chain, cfg)
-    active = active_segment(part_a, part_b)
     n_bad = n_eval // 10
     slots = [True] * n_eval
     for pos in rng.sample(range(n_eval), n_bad):
         slots[pos] = False
-    return evaluate_append_run(active, slots, miners, cost)
+    return _price_batch(min(cfg.part_lengths()), slots, miners, cost)
 
 
 def fitness_seed(master_seed: int, split_point: int, chain_len: int) -> int:
@@ -140,9 +146,18 @@ def fitness_seed(master_seed: int, split_point: int, chain_len: int) -> int:
 
 
 def _evaluate(b: Bacterium, cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
-              miners: Sequence[Tuple[int, float]]) -> None:
+              miners: Sequence[Tuple[int, float]],
+              memo: Optional[Dict[int, float]] = None) -> None:
+    """Set b.fitness. memo maps active length to fitness within one
+    search (same seed, chain length, miners and cost); None disables it."""
+    active_len = min(b.split_point, len(chain) - b.split_point)
+    if memo is not None and active_len in memo:
+        b.fitness = memo[active_len]
+        return
     rng = random.Random(fitness_seed(cfg.rng_seed, b.split_point, len(chain)))
     b.fitness = split_fitness(b, chain, cost, miners, cfg.n_eval, rng)
+    if memo is not None:
+        memo[active_len] = b.fitness
 
 
 def cull_threshold(population: Sequence[Bacterium], lb: float) -> float:
@@ -156,9 +171,11 @@ def cull_threshold(population: Sequence[Bacterium], lb: float) -> float:
 
 def step_population(population: List[Bacterium], cfg: BfoConfig, chain: Chain,
                     cost: ChainCostModel, miners: Sequence[Tuple[int, float]],
-                    rng: random.Random) -> List[Bacterium]:
+                    rng: random.Random,
+                    memo: Optional[Dict[int, float]] = None) -> List[Bacterium]:
     """One culling round: strictly-above-threshold bacteria are replaced
-    by fresh spawns (and evaluated); survivors keep their fitness."""
+    by fresh spawns (and evaluated); survivors keep their fitness.
+    memo is the search's fitness cache, as in _evaluate."""
     fth = cull_threshold(population, cfg.lb)
     center = cfg.nb * cfg.lb / 2.0
     spread = cfg.nb / 2.0
@@ -166,7 +183,7 @@ def step_population(population: List[Bacterium], cfg: BfoConfig, chain: Chain,
     for b in population:
         if b.fitness > fth:
             fresh = Bacterium(split_point=bounded_draw(center, spread, 1, len(chain) - 1, rng))
-            _evaluate(fresh, cfg, chain, cost, miners)
+            _evaluate(fresh, cfg, chain, cost, miners, memo)
             out.append(fresh)
         else:
             out.append(b)
@@ -181,14 +198,15 @@ def optimize_trace(cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
     if len(chain) < 2:
         raise ValueError("chain must have at least 2 blocks to split")
     rng = random.Random(cfg.rng_seed)
+    memo: Dict[int, float] = {}
     population = spawn_population(cfg, len(chain), rng)
     for b in population:
-        _evaluate(b, cfg, chain, cost, miners)
+        _evaluate(b, cfg, chain, cost, miners, memo)
     best = min(population, key=lambda b: b.fitness)
     best_split, best_fitness = best.split_point, best.fitness
     history = [(0, best_fitness, best_split)]
     for it in range(1, cfg.ni + 1):
-        population = step_population(population, cfg, chain, cost, miners, rng)
+        population = step_population(population, cfg, chain, cost, miners, rng, memo)
         contender = min(population, key=lambda b: b.fitness)
         if contender.fitness < best_fitness:
             best_fitness, best_split = contender.fitness, contender.split_point

@@ -4,7 +4,8 @@
     iovsim sweep --config cfg.json --comms 50:500:50 --seeds 1..5 --out sweep.csv [--jobs 4]
     iovsim bfo   --config cfg.json --chain-len 300 --out trace.csv
 
-Exit codes: 0 on success, 2 on configuration errors.
+Exit codes: 0 on success, 2 on configuration errors (including malformed
+--comms/--seeds ranges), 1 on sweep or I/O failures.
 """
 
 import argparse
@@ -17,6 +18,14 @@ from .harness import SweepError, emit_csv, run_scenario, sweep
 from .ledger import build_chain
 
 
+def _ints(parts: List[str], flag: str, text: str) -> List[int]:
+    """Parse each part as an integer; a bad one is a config error."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"bad {flag} value {text!r}") from None
+
+
 def _parse_comms(text: str) -> List[int]:
     """'50:500:50' is an inclusive start:stop:step range; a bare integer
     or comma list also works."""
@@ -24,11 +33,11 @@ def _parse_comms(text: str) -> List[int]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--comms range must be start:stop:step, got {text!r}")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = _ints(parts, "--comms", text)
         if step <= 0 or stop < start:
             raise ConfigError(f"--comms range {text!r} is empty or descending")
         return list(range(start, stop + 1, step))
-    values = [int(p) for p in text.split(",")]
+    values = _ints(text.split(","), "--comms", text)
     if not values or any(v < 0 for v in values):
         raise ConfigError(f"bad --comms value {text!r}")
     return values
@@ -38,11 +47,11 @@ def _parse_seeds(text: str) -> List[int]:
     """'1..5' is an inclusive range; a bare integer or comma list also works."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _ints([lo_s, hi_s], "--seeds", text)
         if hi < lo:
             raise ConfigError(f"--seeds range {text!r} is descending")
         return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",")]
+    return _ints(text.split(","), "--seeds", text)
 
 
 def _apply_attack_flag(cfg, flag: Optional[str]):

@@ -74,23 +74,32 @@ def trust_level(residual_energy: float, records: Sequence[CommRecord]) -> float:
 class TrustState:
     """Mutable record log for one node, with an optional sliding window.
 
-    The quality sum is recomputed on every append in record order so it
-    stays bit-identical to trust_level() on the same records.
+    Each record's quality is computed once, kept alongside the record,
+    and the quality sum is re-summed with sum() in record order on every
+    append, so it stays bit-identical to trust_level() on the same
+    records (a running += would not match sum() from Python 3.12 on,
+    which compensates its rounding).
     """
 
     window: Optional[int] = None
     records: List[CommRecord] = field(default_factory=list)
     _q_sum: float = 0.0
+    _qualities: List[float] = field(default_factory=list, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1 when set")
+        self._qualities = [_quality(r) for r in self.records]
 
     def add(self, rec: CommRecord) -> None:
         self.records.append(rec)
+        self._qualities.append(_quality(rec))
         if self.window is not None and len(self.records) > self.window:
-            del self.records[0 : len(self.records) - self.window]
-        self._q_sum = sum(_quality(r) for r in self.records)
+            excess = len(self.records) - self.window
+            del self.records[0:excess]
+            del self._qualities[0:excess]
+        self._q_sum = sum(self._qualities)
 
     def quality_sum(self) -> float:
         return self._q_sum

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from iovsim import bfo
 from iovsim.bfo import (
     BfoConfig,
     Bacterium,
@@ -15,7 +16,16 @@ from iovsim.bfo import (
     split_fitness,
     step_population,
 )
-from iovsim.ledger import Chain, ChainCostModel, build_chain
+from iovsim.ledger import (
+    Chain,
+    ChainCostModel,
+    SidechainConfig,
+    active_segment,
+    append,
+    build_chain,
+    make_block,
+    split,
+)
 
 UNIT = ChainCostModel(1.0, 1.0, 1.0, 1.0)
 ONE_MINER = [(0, 1.0)]
@@ -91,6 +101,14 @@ def test_evaluate_append_run_scales_with_miner_trust():
         evaluate_append_run(Chain(), slots, [], UNIT)
     with pytest.raises(ValueError):
         evaluate_append_run(Chain(), [], ONE_MINER, UNIT)
+
+
+def test_evaluate_append_run_leaves_segment_unchanged():
+    active = build_chain(5)
+    blocks = list(active.blocks)
+    # 5 stored blocks: delays 18,21,...,42 (mean 30) plus one rejection over 14
+    assert evaluate_append_run(active, [True] * 9 + [False], ONE_MINER, UNIT) == 44.0
+    assert active.blocks == blocks
 
 
 def test_evaluate_append_run_round_robin_miners():
@@ -169,3 +187,93 @@ def test_optimize_finds_cheap_split_on_long_chain():
     assert min(result.part_lengths()) <= 3
     with pytest.raises(ValueError):
         optimize_trace(cfg, Chain(), UNIT, ONE_MINER)
+
+
+def _copied_chain_fitness(b, chain, cost, miners, n_eval, rng):
+    """Reference fitness on block data: split a copy of the chain, then
+    hash and append each block of the batch to the active segment."""
+    part_a, part_b = split(chain, SidechainConfig(b.split_point, len(chain)))
+    active = active_segment(part_a, part_b)
+    slots = [True] * n_eval
+    for pos in rng.sample(range(n_eval), n_eval // 10):
+        slots[pos] = False
+    ok_sum = ok_n = bad_sum = bad_n = 0
+    for i, consistent in enumerate(slots):
+        miner_id, miner_tl = miners[i % len(miners)]
+        block = make_block(index=len(active), miner=miner_id,
+                           payload=b"eval:%d:%d" % (i, miner_id),
+                           prev_digest=active.tip_digest(), tamper=not consistent)
+        active, delay, accepted = append(active, block, miner_tl, cost)
+        if accepted:
+            ok_sum += delay * miner_tl
+            ok_n += 1
+        else:
+            bad_sum += delay * miner_tl
+            bad_n += 1
+    fitness = 0.0
+    if ok_n:
+        fitness += ok_sum / ok_n
+    if bad_n:
+        fitness += bad_sum / bad_n
+    return fitness
+
+
+@pytest.mark.parametrize("n_eval", [10, 40])
+@pytest.mark.parametrize("chain_len", [2, 37, 250])
+def test_split_fitness_matches_block_level_oracle_exactly(chain_len, n_eval):
+    chain = build_chain(chain_len)
+    cost = ChainCostModel(0.08, 0.11, 0.07, 0.13)
+    # weighted round robin: one miner takes two turns, one has zero trust
+    miners = [(3, 0.7), (8, 2.25), (3, 0.7), (1, 0.0), (5, 1.3)]
+    for s in sorted({1, chain_len // 2, chain_len - 1}):
+        for seed in range(5):
+            got = split_fitness(Bacterium(s), chain, cost, miners, n_eval,
+                                random.Random(seed))
+            want = _copied_chain_fitness(Bacterium(s), chain, cost, miners, n_eval,
+                                         random.Random(seed))
+            assert got == want, (s, seed)
+    assert len(chain) == chain_len
+
+
+def test_negative_miner_trust_is_rejected():
+    chain = build_chain(20)
+    with pytest.raises(ValueError):
+        split_fitness(Bacterium(5), chain, UNIT, [(0, 1.0), (1, -0.5)], 10,
+                      random.Random(0))
+    with pytest.raises(ValueError):
+        evaluate_append_run(Chain(), [True] * 10, [(0, -1.0)], UNIT)
+    with pytest.raises(ValueError):
+        split_fitness(Bacterium(20), chain, UNIT, ONE_MINER, 10, random.Random(0))
+
+
+def _counting_split_fitness(monkeypatch):
+    calls = []
+    real = bfo.split_fitness
+
+    def counted(b, chain, *args):
+        calls.append(min(b.split_point, len(chain) - b.split_point))
+        return real(b, chain, *args)
+
+    monkeypatch.setattr(bfo, "split_fitness", counted)
+    return calls
+
+
+@pytest.mark.parametrize("chain_len", [12, 300])
+def test_search_evaluates_each_active_length_once(chain_len, monkeypatch):
+    # on 12 blocks mirrored splits (s and 12 - s) share an active length
+    chain = build_chain(chain_len)
+    cfg = BfoConfig(nb=20, lb=0.8, ni=30, n_eval=20, rng_seed=5)
+    miners = [(2, 1.5), (4, 0.25), (9, 3.0)]
+    cost = ChainCostModel(0.08, 0.11, 0.07, 0.13)
+
+    calls = _counting_split_fitness(monkeypatch)
+    memo_result = optimize_trace(cfg, chain, cost, miners)
+    assert len(calls) == len(set(calls))
+
+    real_evaluate = bfo._evaluate
+    monkeypatch.setattr(bfo, "_evaluate",
+                        lambda b, c, ch, co, mi, memo=None: real_evaluate(b, c, ch, co, mi))
+    calls.clear()
+    plain_result = optimize_trace(cfg, chain, cost, miners)
+    assert len(calls) > len(set(calls))
+    assert memo_result == plain_result

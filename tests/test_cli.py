@@ -35,6 +35,9 @@ def test_parse_comms_forms():
         _parse_comms("1:2:3:4")
     with pytest.raises(ConfigError):
         _parse_comms("-5")
+    for bad in ("a:b:c", "1.5", "10:x:5", "", "5,,10"):
+        with pytest.raises(ConfigError):
+            _parse_comms(bad)
 
 
 def test_parse_seeds_forms():
@@ -43,6 +46,9 @@ def test_parse_seeds_forms():
     assert _parse_seeds("3,1,9") == [3, 1, 9]
     with pytest.raises(ConfigError):
         _parse_seeds("5..1")
+    for bad in ("1..x", "a", "1.5", "..3", "1,b"):
+        with pytest.raises(ConfigError):
+            _parse_seeds(bad)
 
 
 def test_run_writes_csv_and_summary(scenario_file, tmp_path, capsys):
@@ -134,6 +140,21 @@ def test_bad_sweep_range_exit_2(scenario_file, tmp_path, capsys):
                  "--seeds", "1..2", "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--comms", "a:b:c"),
+    ("--comms", "1.5"),
+    ("--seeds", "1..x"),
+])
+def test_malformed_sweep_range_exit_2(flag, value, scenario_file, tmp_path, capsys):
+    args = {"--comms": "10", "--seeds": "1..2", flag: value}
+    out = tmp_path / "o.csv"
+    code = main(["sweep", "--config", scenario_file, "--comms", args["--comms"],
+                 "--seeds", args["--seeds"], "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_is_exit_1(scenario_file, tmp_path, capsys):
