@@ -19,8 +19,9 @@ only routing sees the advertised score.
 """
 
 import random
+from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .network import Node, PacketQueue
 
@@ -102,6 +103,22 @@ def make_phantoms(owner: Node, count: int, serial: int) -> Tuple[List[Node], Dic
         ))
         aliases[pid] = owner.id
     return phantoms, aliases
+
+
+def phantom_neighbours(neighbours: Mapping[int, Sequence[int]], owner_id: int,
+                       phantom_ids: Sequence[int]) -> Mapping[int, Tuple[int, ...]]:
+    """Overlay phantoms on a static neighbour index without copying it.
+
+    Phantoms sit at the owner's position, so the owner and every node in
+    its range also hear them, and each phantom hears the owner's
+    neighbours, the owner and the other phantoms. Lists stay sorted by id.
+    """
+    around = tuple(neighbours[owner_id])
+    overlay = {nid: tuple(sorted((*neighbours[nid], *phantom_ids))) for nid in around}
+    overlay[owner_id] = tuple(sorted((*around, *phantom_ids)))
+    for pid in phantom_ids:
+        overlay[pid] = tuple(sorted((*around, owner_id, *(p for p in phantom_ids if p != pid))))
+    return ChainMap(overlay, neighbours)
 
 
 def flood_queue(queue: PacketQueue, packets: int) -> int:

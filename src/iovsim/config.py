@@ -2,11 +2,15 @@
 
 JSON keys mirror the dataclass field names in lower_snake_case, one
 nested object per sub-config. Unknown keys are rejected rather than
-ignored so a typo cannot silently run the default.
+ignored so a typo cannot silently run the default, and every value must
+match its field's annotation: an int is not a bool or a float, a float
+is a finite number (ints allowed), and Optional fields also take null.
 """
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Type
 
@@ -74,11 +78,42 @@ _NESTED: Dict[Type, Dict[str, Type]] = {
 }
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _matches(tp, value) -> bool:
+    """Whether a JSON value fits a field annotation."""
+    if typing.get_origin(tp) is typing.Union:
+        return any(_matches(arg, value) for arg in typing.get_args(tp))
+    if typing.get_origin(tp) is dict:
+        key_tp, value_tp = typing.get_args(tp)
+        return isinstance(value, dict) and all(
+            _matches(key_tp, k) and _matches(value_tp, v) for k, v in value.items())
+    if tp is type(None):
+        return value is None
+    if tp is bool or tp is str:
+        return isinstance(value, tp)
+    if tp is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if tp is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and _finite(value))
+    return True
+
+
+def _type_name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+
+
 def _build(cls: Type, data: Any, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or cls.__name__}: expected an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{path or cls.__name__}: unknown keys {unknown}")
     nested = _NESTED.get(cls, {})
@@ -86,8 +121,10 @@ def _build(cls: Type, data: Any, path: str):
     for key, value in data.items():
         if key in nested:
             kwargs[key] = _build(nested[key], value, f"{path}{key}.")
-        else:
+        elif _matches(types[key], value):
             kwargs[key] = value
+        else:
+            raise ConfigError(f"{path}{key}: {value!r} is not a valid {_type_name(types[key])}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

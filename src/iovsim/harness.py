@@ -18,12 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .attacks import DDOS, FINNEY, MITM, SYBIL, make_phantoms, flood_queue, mark_communications
+from .attacks import (DDOS, FINNEY, MITM, SYBIL, flood_queue, make_phantoms,
+                      mark_communications, phantom_neighbours)
 from .bfo import optimize_split
 from .clustering import assign_clusters
 from .config import ScenarioConfig
 from .ledger import Chain, ChainCostModel, append_delay, make_block, rejection_delay
-from .network import RX, TX, EnergyLedger, deploy
+from .network import RX, TX, EnergyLedger, deploy, neighbour_index
 from .routing import route
 from .seeding import mix64
 from .trust import CommRecord, TrustState, select_miners
@@ -113,6 +114,7 @@ def simulate(cfg: ScenarioConfig,
     """
     net = cfg.network
     nodes = deploy(net)
+    neighbours = neighbour_index(nodes, net.radio_range)
     for n in nodes.values():
         n.trust = TrustState(window=cfg.trust_window)
     energy = EnergyLedger(net.energy_costs)
@@ -151,6 +153,7 @@ def simulate(cfg: ScenarioConfig,
         events.append("dispatch", clock, comm=j, src=src_id, dest=dest_id, attack=kind)
 
         route_nodes = nodes
+        route_neighbours = neighbours
         aliases: Dict[int, int] = {}
         if kind == SYBIL:
             eligible = [i for i in live_ids if i not in (src_id, dest_id)]
@@ -159,12 +162,15 @@ def simulate(cfg: ScenarioConfig,
                 owner.is_attacker = True
                 phantoms, aliases = make_phantoms(owner, cfg.attack.sybil_identity_count, serial=j)
                 route_nodes = {**nodes, **{p.id: p for p in phantoms}}
+                route_neighbours = phantom_neighbours(neighbours, owner.id,
+                                                      [p.id for p in phantoms])
                 events.append("attack_effect", clock, comm=j, attack=SYBIL,
                               owner=owner.id, identities=len(phantoms))
 
         assignment = assign_clusters(route_nodes, dest_id, net.radio_range, net.sector_count)
         src_energy_before = nodes[src_id].residual_energy
-        trace = route(src_id, dest_id, assignment, route_nodes, net, energy, aliases)
+        trace = route(src_id, dest_id, assignment, route_nodes, net, energy, aliases,
+                      neighbours=route_neighbours)
         hop_clock = clock
         for hop_to, hop_delay in zip(trace.hops[1:], trace.per_hop_delay_ms):
             hop_clock += hop_delay

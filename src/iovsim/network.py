@@ -1,16 +1,17 @@
 """Physical network substrate: deployment, radio geometry, energy, queues.
 
 Topology is static. Links are unit-disk: two nodes can exchange packets
-iff their euclidean distance is within radio_range. Energy draws go
-through an EnergyLedger so every mJ leaving a battery has a matching
-ledger entry (conservation is testable).
+iff their euclidean distance is within radio_range, so each node's
+neighbour list is built once per deployment (neighbour_index). Energy
+draws go through an EnergyLedger so every mJ leaving a battery has a
+matching ledger entry (conservation is testable).
 """
 
 import math
 import random
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .trust import TrustState
 
@@ -189,6 +190,38 @@ def deploy(config: NetworkConfig) -> Dict[int, Node]:
             queue=PacketQueue(config.queue_capacity),
         )
     return nodes
+
+
+# A hair wider than the radio range: rounding in x / side can then never
+# put two nodes within range of each other two cells apart.
+_CELL_SLACK = 1.0 + 2.0 ** -20
+
+
+def neighbour_index(nodes: Mapping[int, Node], radio_range: float) -> Dict[int, Tuple[int, ...]]:
+    """Each node's radio neighbours (distance <= radio_range), sorted by id.
+
+    Cell-list method: nodes are binned into a uniform grid whose cell
+    side is (a hair over) the radio range, so a node's neighbours lie in
+    its own cell or one of the eight around it. Liveness is not consulted; topology
+    is static, so one index serves a whole deployment.
+    """
+    side = radio_range * _CELL_SLACK
+    cells: Dict[Tuple[int, int], List[Node]] = defaultdict(list)
+    cell_of = {}
+    for n in nodes.values():
+        cell = cell_of[n.id] = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
+        cells[cell].append(n)
+    index = {}
+    for n in nodes.values():
+        cx, cy = cell_of[n.id]
+        index[n.id] = tuple(sorted(
+            m.id
+            for gx in (cx - 1, cx, cx + 1)
+            for gy in (cy - 1, cy, cy + 1)
+            for m in cells.get((gx, gy), ())
+            if m.id != n.id and distance(n.pos, m.pos) <= radio_range
+        ))
+    return index
 
 
 class EnergyLedger:

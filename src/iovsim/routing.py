@@ -17,7 +17,7 @@ fall back to the lowest node id.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
 from .clustering import ClusterAssignment, nearest_cluster
 from .network import EnergyLedger, NetworkConfig, Node, RX, TX, distance, polar_angle
@@ -82,13 +82,17 @@ def candidates_same_cluster(current: Node, dest: Node, members: List[Node],
 def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
              nodes: Dict[int, Node], mode: str, radio_range: float,
              rtl_argmax: bool = False,
-             exclude: FrozenSet[int] = frozenset()) -> Optional[int]:
+             exclude: FrozenSet[int] = frozenset(), *,
+             neighbours: Optional[Mapping[int, Sequence[int]]] = None) -> Optional[int]:
     """One forwarding decision; None when the node is stuck.
 
     Direct delivery wins when the destination is in range. Otherwise
     candidates in a strictly nearer ring are preferred; same-ring
     (lateral) moves are allowed only when no nearer ring is reachable,
     and no candidate in a farther ring is ever considered.
+
+    `neighbours` (see network.neighbour_index) narrows the scan to the
+    current node's radio neighbours; without it every node is scanned.
     """
     if current.id == dest.id:
         raise ValueError("already at destination")
@@ -99,10 +103,11 @@ def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
     dest_cid = amap.get(dest.id)
     if cur_cid is None or dest_cid is None:
         raise ValueError("current and destination must be in the cluster assignment")
+    scan = nodes if neighbours is None else neighbours[current.id]
     pool = [
-        n for nid, n in nodes.items()
+        n for nid in scan
         if nid not in exclude and nid != current.id and nid != dest.id
-        and n.alive and nid in amap
+        and (n := nodes[nid]).alive and nid in amap
         and distance(current.pos, n.pos) <= radio_range
     ]
     if cur_cid == dest_cid:
@@ -137,12 +142,14 @@ class RouteTrace:
 
 def route(src_id: int, dest_id: int, assignment: ClusterAssignment,
           nodes: Dict[int, Node], cfg: NetworkConfig, ledger: EnergyLedger,
-          aliases: Optional[Dict[int, int]] = None) -> RouteTrace:
+          aliases: Optional[Dict[int, int]] = None, *,
+          neighbours: Optional[Mapping[int, Sequence[int]]] = None) -> RouteTrace:
     """Forward hop by hop until delivery or a terminal condition.
 
     Each hop bills one tx at the sender and one rx at the receiver.
     `aliases` maps masqueraded identities to the node that actually
     holds the radio, so their energy lands on the real owner.
+    `neighbours` is passed to every next_hop call.
     """
     aliases = aliases or {}
     src, dest = nodes[src_id], nodes[dest_id]
@@ -163,7 +170,8 @@ def route(src_id: int, dest_id: int, assignment: ClusterAssignment,
             trace.reason = HOP_LIMIT
             return trace
         nxt = next_hop(current, dest, assignment, nodes, cfg.inequality_mode,
-                       cfg.radio_range, cfg.rtl_argmax, exclude=frozenset(visited))
+                       cfg.radio_range, cfg.rtl_argmax, exclude=frozenset(visited),
+                       neighbours=neighbours)
         if nxt is None:
             trace.reason = NO_CANDIDATE
             return trace

@@ -83,7 +83,7 @@ class TrustState:
 
     window: Optional[int] = None
     records: List[CommRecord] = field(default_factory=list)
-    _q_sum: float = 0.0
+    _q_sum: float = field(default=0.0, init=False, repr=False, compare=False)
     _qualities: List[float] = field(default_factory=list, init=False, repr=False,
                                     compare=False)
 
@@ -91,10 +91,14 @@ class TrustState:
         if self.window is not None and self.window < 1:
             raise ValueError("window must be >= 1 when set")
         self._qualities = [_quality(r) for r in self.records]
+        self._trim_and_sum()
 
     def add(self, rec: CommRecord) -> None:
         self.records.append(rec)
         self._qualities.append(_quality(rec))
+        self._trim_and_sum()
+
+    def _trim_and_sum(self) -> None:
         if self.window is not None and len(self.records) > self.window:
             excess = len(self.records) - self.window
             del self.records[0:excess]

@@ -157,6 +157,38 @@ def test_malformed_sweep_range_exit_2(flag, value, scenario_file, tmp_path, caps
     assert not out.exists()
 
 
+MALFORMED_SCENARIOS = [
+    '{"network": {"radio_range": NaN}}',
+    '{"network": {"radio_range": -Infinity}}',
+    '{"network": {"area_side": 1e400}}',
+    '{"cost_model": {"dr": Infinity}}',
+    '{"network": {"energy_costs": {"tx": NaN}}}',
+    '{"attack": {"mix": {"sybil": Infinity}}}',
+    '{"comm_count": true}',
+    '{"comm_count": 2.5}',
+    '{"comm_count": 20.0}',
+    '{"comm_count": "20"}',
+    '{"network": {"node_count": 10.5}}',
+    '{"network": {"rng_seed": "x"}}',
+    '{"network": {"rtl_argmax": 1}}',
+    '{"network": {"inequality_mode": null}}',
+    '{"bfo": {"lb": false}}',
+    '{"trust_window": 3.0}',
+    '{"miner_fraction": null}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_SCENARIOS)
+def test_malformed_scenario_exit_2_without_output(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out, trace = tmp_path / "o.csv", tmp_path / "t.jsonl"
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--trace", str(trace)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
 def test_unwritable_output_is_exit_1(scenario_file, tmp_path, capsys):
     code = main(["run", "--config", scenario_file,
                  "--out", str(tmp_path / "no" / "dir" / "o.csv")])

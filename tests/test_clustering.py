@@ -96,6 +96,71 @@ def test_assignment_requires_live_destination():
         assign_clusters(nodes, dest_id=0, d_1hop=10.0, sector_count=4)
 
 
+def eager_oracle(nodes, dest_id, d_1hop, sector_count):
+    dest = nodes[dest_id].pos
+    return {
+        n.id: ClusterId(ring_index(n.pos, dest, d_1hop), sector_index(n.pos, dest, sector_count))
+        for n in nodes.values() if n.alive
+    }
+
+
+def test_lazy_assignment_matches_eager_oracle():
+    rng = random.Random(12)
+    for _ in range(30):
+        count = rng.randint(2, 80)
+        nodes = {i: _node(i, rng.uniform(-300, 900), rng.uniform(-300, 900)) for i in range(count)}
+        for nid in rng.sample(range(count), count // 4):
+            nodes[nid].residual_energy = 0.0
+        dest = rng.choice([i for i in range(count) if nodes[i].alive])
+        d_1hop, sectors = rng.uniform(20.0, 400.0), rng.randint(1, 12)
+        want = eager_oracle(nodes, dest, d_1hop, sectors)
+        # looked up in a random order, one at a time, then as a whole
+        assignment = assign_clusters(list(nodes.values()), dest, d_1hop, sectors)
+        for nid in rng.sample(sorted(want), len(want)):
+            assert assignment.by_node[nid] == want[nid]
+        assert dict(assignment.by_node) == want
+        assert assign_clusters(nodes, dest, d_1hop, sectors).by_node == want
+
+
+def test_lazy_assignment_keys_are_the_nodes_live_at_the_call():
+    rng = random.Random(13)
+    nodes = {i: _node(i, rng.uniform(0, 500), rng.uniform(0, 500)) for i in range(30)}
+    for nid in (4, 11, 29):
+        nodes[nid].residual_energy = 0.0
+    live = [i for i in range(30) if i not in (4, 11, 29)]
+    assignment = assign_clusters(nodes, dest_id=0, d_1hop=100.0, sector_count=8)
+    want = eager_oracle(nodes, 0, 100.0, 8)
+    nodes[5].residual_energy = 0.0      # dies after the call: still a member
+    nodes[4].residual_energy = 10.0     # revives after the call: still not
+    by_node = assignment.by_node
+    assert len(by_node) == len(live)
+    assert list(by_node) == live
+    assert all(i in by_node for i in live)
+    assert 4 not in by_node and 11 not in by_node and 30 not in by_node
+    assert by_node.get(4) is None
+    with pytest.raises(KeyError):
+        by_node[4]
+    assert dict(by_node) == want
+    with pytest.raises(TypeError):
+        by_node[6] = ClusterId(0, 0)
+
+
+@pytest.mark.parametrize("d_1hop,sector_count", [
+    (0.0, 8), (-5.0, 8), (float("nan"), 8), (100.0, 0), (100.0, float("nan")),
+])
+def test_bad_parameters_raise_from_assign_clusters(d_1hop, sector_count):
+    nodes = {0: _node(0, 0.0, 0.0), 1: _node(1, 30.0, 40.0)}
+    with pytest.raises(ValueError):
+        assign_clusters(nodes, dest_id=0, d_1hop=d_1hop, sector_count=sector_count)
+
+
+def test_dead_or_missing_destination_raises_from_assign_clusters():
+    nodes = {0: _node(0, 0.0, 0.0), 1: _node(1, 30.0, 40.0, energy=0.0)}
+    for dest in (1, 2):
+        with pytest.raises(ValueError):
+            assign_clusters(nodes, dest_id=dest, d_1hop=100.0, sector_count=8)
+
+
 def test_nearest_cluster_prefers_lower_ring():
     picked = nearest_cluster([ClusterId(5, 2), ClusterId(3, 6)], toward=0.0, sector_count=8)
     assert picked == ClusterId(3, 6)

@@ -97,6 +97,40 @@ def test_invalid_values_surface_as_config_errors():
         config_from_dict({"bfo": {"n_eval": 7}})
 
 
+@pytest.mark.parametrize("data,where", [
+    ({"network": {"radio_range": float("nan")}}, "network.radio_range"),
+    ({"cost_model": {"dr": float("inf")}}, "cost_model.dr"),
+    ({"network": {"energy_costs": {"idle": float("-inf")}}}, "network.energy_costs.idle"),
+    ({"network": {"area_side": 10 ** 400}}, "network.area_side"),
+    ({"comm_count": True}, "comm_count"),
+    ({"comm_count": 3.0}, "comm_count"),
+    ({"bfo": {"nb": False}}, "bfo.nb"),
+    ({"network": {"rng_seed": "x"}}, "network.rng_seed"),
+    ({"sidechain_enabled": 0}, "sidechain_enabled"),
+    ({"network": {"inequality_mode": 1}}, "network.inequality_mode"),
+    ({"attack": {"mix": {"sybil": "1"}}}, "attack.mix"),
+    ({"attack": {"mix": ["sybil"]}}, "attack.mix"),
+    ({"trust_window": 2.5}, "trust_window"),
+])
+def test_mistyped_and_non_finite_values_rejected(data, where):
+    with pytest.raises(ConfigError, match=where):
+        config_from_dict(data)
+
+
+def test_typed_values_accepted():
+    cfg = config_from_dict({
+        "network": {"radio_range": 600, "energy_costs": {"tx": 1}},
+        "attack": {"mix": {"sybil": 2}},
+        "trust_window": None,
+        "sidechain_enabled": False,
+    })
+    assert cfg.network.radio_range == 600
+    assert cfg.network.energy_costs.tx == 1
+    assert cfg.attack.mix == {"sybil": 2}
+    assert cfg.trust_window is None
+    assert config_from_dict({"trust_window": 4}).trust_window == 4
+
+
 def test_load_config_reads_json(tmp_path):
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps({"comm_count": 12, "network": {"rng_seed": 9}}))

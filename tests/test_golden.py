@@ -5,9 +5,13 @@ master seed, attacks off or on, and compares the sha256 of both output
 files with digests recorded from a known-good build. A refactor or
 optimisation that changes any output byte fails here; an intended
 change to the outputs must say why and re-record these digests.
+The 1000-node cases keep the default density (side 2500 * sqrt(10)),
+where per-hop work and clustering are spread over ten times the nodes.
 """
 
 import hashlib
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -41,3 +45,22 @@ def test_outputs_match_golden_digests(seed, attacks, tmp_path):
     csv_path, trace_path = tmp_path / "run.csv", tmp_path / "trace.jsonl"
     emit_csv([run_scenario(cfg, trace_path=str(trace_path))], str(csv_path))
     assert (_sha256(csv_path), _sha256(trace_path)) == GOLDEN[(seed, attacks)]
+
+
+# (seed, attacks) -> digests for 1000 nodes at the default density
+GOLDEN_1000 = {
+    (1, False): ("586fdfef971ee9818f936e3d9ae0397335519677bcc4ca7beb661ecfbef07b36",
+                 "ce357963e20e05ef9069ea42f29fbd810d70590bf376b40124ac6e9d5325a1c2"),
+    (1, True): ("076e19f551669a7d4241576c385e594dbf3afdadc449bc0d2dfd18c472849315",
+                "28991b731c15d3ed981962e45da255f4e98636a980858e6ce8457e720f2306fb"),
+}
+
+
+@pytest.mark.parametrize("seed,attacks", sorted(GOLDEN_1000))
+def test_1000_node_outputs_match_golden_digests(seed, attacks, tmp_path):
+    base = ScenarioConfig(comm_count=100)
+    network = replace(base.network, node_count=1000, area_side=2500.0 * math.sqrt(10.0))
+    cfg = replace(base, network=network).reseeded(seed).with_attacks(attacks)
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "trace.jsonl"
+    emit_csv([run_scenario(cfg, trace_path=str(trace_path))], str(csv_path))
+    assert (_sha256(csv_path), _sha256(trace_path)) == GOLDEN_1000[(seed, attacks)]

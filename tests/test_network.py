@@ -17,6 +17,7 @@ from iovsim.network import (
     charge,
     deploy,
     distance,
+    neighbour_index,
     polar_angle,
 )
 
@@ -161,3 +162,69 @@ def test_network_config_validation():
 def test_per_hop_delay():
     cfg = NetworkConfig()
     assert cfg.per_hop_delay_ms() == pytest.approx(512 / 2_000_000 * 1000 + 0.1)
+
+
+def brute_neighbours(nodes, radio_range):
+    return {
+        a.id: tuple(sorted(b.id for b in nodes.values()
+                           if b.id != a.id and distance(a.pos, b.pos) <= radio_range))
+        for a in nodes.values()
+    }
+
+
+def nodes_at(points, ids=None):
+    ids = list(range(len(points))) if ids is None else ids
+    return {nid: Node(nid, Position(x, y), 1.0, PacketQueue(1))
+            for nid, (x, y) in zip(ids, points)}
+
+
+def test_neighbour_index_matches_brute_force_on_random_topologies():
+    rng = random.Random(21)
+    for _ in range(60):
+        count = rng.randint(2, 150)
+        area = rng.uniform(10.0, 4000.0)
+        radio_range = rng.uniform(5.0, 900.0)
+        origin = rng.uniform(-2000.0, 2000.0)
+        points = [(origin + rng.uniform(0, area), origin + rng.uniform(0, area))
+                  for _ in range(count)]
+        nodes = nodes_at(points, ids=rng.sample(range(10_000), count))
+        assert neighbour_index(nodes, radio_range) == brute_neighbours(nodes, radio_range)
+
+
+def test_neighbour_index_of_a_deployment_matches_brute_force():
+    for seed in (1, 2, 3):
+        cfg = NetworkConfig(node_count=300, area_side=4330.0, rng_seed=seed)
+        nodes = deploy(cfg)
+        index = neighbour_index(nodes, cfg.radio_range)
+        assert index == brute_neighbours(nodes, cfg.radio_range)
+        assert all(list(ids) == sorted(ids) for ids in index.values())
+
+
+@pytest.mark.parametrize("radio_range", [550.0, 0.1, 1.0 / 3.0, 7.0])
+def test_neighbour_index_at_exact_range_on_cell_borders(radio_range):
+    # a lattice one radio range apart puts every node on a cell corner and
+    # every axis neighbour at exactly radio_range (up to the float product)
+    points = [(i * radio_range, j * radio_range) for i in range(-3, 4) for j in range(-3, 4)]
+    # and one float step either side of each border
+    points += [(math.nextafter(i * radio_range, math.inf),
+                math.nextafter(j * radio_range, -math.inf))
+               for i in range(-3, 4) for j in range(-3, 4)]
+    nodes = nodes_at(points)
+    index = neighbour_index(nodes, radio_range)
+    assert index == brute_neighbours(nodes, radio_range)
+    if radio_range == 550.0:
+        corner = points.index((0.0, 0.0))
+        east, diagonal = points.index((550.0, 0.0)), points.index((550.0, 550.0))
+        assert east in index[corner] and diagonal not in index[corner]
+
+
+def test_neighbour_index_when_range_exceeds_the_area():
+    rng = random.Random(5)
+    nodes = nodes_at([(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(30)])
+    index = neighbour_index(nodes, 1000.0)
+    assert index == {i: tuple(j for j in range(30) if j != i) for i in range(30)}
+
+
+def test_neighbour_index_co_located_and_isolated_nodes():
+    nodes = nodes_at([(5.0, 5.0), (5.0, 5.0), (500.0, 500.0)])
+    assert neighbour_index(nodes, 10.0) == {0: (1,), 1: (0,), 2: ()}

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from iovsim.attacks import make_phantoms, phantom_neighbours
 from iovsim.clustering import assign_clusters
-from iovsim.network import EnergyLedger, NetworkConfig, Position
+from iovsim.network import EnergyLedger, NetworkConfig, Position, neighbour_index
 from iovsim.routing import (
     DELIVERED,
     ENERGY_EXHAUSTED,
@@ -274,3 +275,109 @@ def test_route_trace_transit_accumulates():
     trace = RouteTrace(src=1, dest=2, hops=[1, 2], delivered=True,
                        reason=DELIVERED, per_hop_delay_ms=[0.5, 0.25])
     assert trace.transit_ms() == 0.75
+
+
+def scored_topology(seed: int, count: int = 40, area: float = 500.0,
+                    radio_range: float = 150.0):
+    rng = random.Random(seed)
+    nodes = random_connected_nodes(seed, count, area, radio_range, energy=100.0)
+    for n in nodes.values():
+        if rng.random() < 0.8:
+            n.trust.add(random_record(rng))
+    return nodes, rng
+
+
+def assert_same_decisions(nodes, neighbours, rng, radio_range, sector_count=8):
+    """next_hop with and without the index, for every (current, dest) pair."""
+    decided = 0
+    for dest in sorted(nodes):
+        if not nodes[dest].alive:
+            continue
+        assignment = assign_clusters(nodes, dest, radio_range, sector_count)
+        for cur in sorted(assignment.by_node):
+            if cur == dest:
+                continue
+            exclude = frozenset(rng.sample(sorted(nodes), rng.randint(0, 6)))
+            for mode in ("inverted", "literal"):
+                for argmax in (False, True):
+                    args = (nodes[cur], nodes[dest], assignment, nodes, mode, radio_range,
+                            argmax, exclude)
+                    want = next_hop(*args)
+                    assert next_hop(*args, neighbours=neighbours) == want
+                    decided += want is not None
+    assert decided > 0
+
+
+def test_next_hop_with_index_matches_full_scan():
+    for seed in range(3):
+        nodes, rng = scored_topology(seed)
+        assert_same_decisions(nodes, neighbour_index(nodes, 150.0), rng, 150.0)
+
+
+def test_next_hop_with_index_matches_full_scan_with_dead_nodes():
+    for seed in range(3, 6):
+        nodes, rng = scored_topology(seed)
+        index = neighbour_index(nodes, 150.0)
+        for nid in rng.sample(sorted(nodes), 8):
+            nodes[nid].residual_energy = 0.0
+        assert_same_decisions(nodes, index, rng, 150.0)
+        # a node dying after the assignment stays a member but is skipped
+        first_live = min(nid for nid, n in nodes.items() if n.alive)
+        assignment = assign_clusters(nodes, first_live, 150.0, 8)
+        dest = nodes[assignment.destination]
+        for nid in rng.sample(sorted(assignment.by_node), 6):
+            if nid != dest.id:
+                nodes[nid].residual_energy = 0.0
+        for cur in sorted(assignment.by_node):
+            if cur != dest.id:
+                args = (nodes[cur], dest, assignment, nodes, "inverted", 150.0)
+                got = next_hop(*args, neighbours=index)
+                assert got == next_hop(*args)
+                assert got is None or nodes[got].alive
+
+
+def test_next_hop_with_sybil_overlay_matches_full_scan():
+    for seed in range(6, 9):
+        nodes, rng = scored_topology(seed)
+        index = neighbour_index(nodes, 150.0)
+        before = dict(index)
+        owner = nodes[rng.choice(sorted(nodes))]
+        phantoms, _ = make_phantoms(owner, 4, serial=seed)
+        route_nodes = {**nodes, **{p.id: p for p in phantoms}}
+        overlay = phantom_neighbours(index, owner.id, [p.id for p in phantoms])
+        assert dict(overlay) == neighbour_index(route_nodes, 150.0)
+        assert index == before  # the static index is not touched
+        assert_same_decisions(route_nodes, overlay, rng, 150.0)
+
+
+def test_phantoms_reach_the_owner_range_only():
+    nodes = chain_nodes(spacing=90.0, count=5)
+    index = neighbour_index(nodes, R)
+    overlay = phantom_neighbours(index, 2, [1_000_000, 1_000_001])
+    assert overlay[2] == (1, 3, 1_000_000, 1_000_001)
+    assert overlay[1] == (0, 2, 1_000_000, 1_000_001)
+    assert overlay[0] == index[0] == (1,)
+    assert overlay[1_000_000] == (1, 2, 3, 1_000_001)
+
+
+def test_route_with_index_matches_full_scan():
+    cfg = NetworkConfig(node_count=40, area_side=500.0, radio_range=150.0, sector_count=8)
+    for seed in range(4):
+        runs = []
+        for use_index in (False, True):
+            nodes, rng = scored_topology(seed)
+            for n in nodes.values():
+                n.residual_energy = rng.uniform(0.2, 3.0)  # relays die mid-route
+            index = neighbour_index(nodes, 150.0) if use_index else None
+            ledger = EnergyLedger(cfg.energy_costs)
+            traces = []
+            for _ in range(30):
+                live = sorted(n.id for n in nodes.values() if n.alive)
+                if len(live) < 2:
+                    break
+                src, dest = rng.sample(live, 2)
+                assignment = assign_clusters(nodes, dest, 150.0, 8)
+                traces.append(route(src, dest, assignment, nodes, cfg, ledger,
+                                    neighbours=index))
+            runs.append((traces, ledger.total_drawn))
+        assert runs[0] == runs[1]

@@ -87,6 +87,41 @@ def test_trust_state_window():
         TrustState(window=0)
 
 
+def test_trust_state_built_with_records_scores_like_pure_function():
+    rng = random.Random(6)
+    for count in (1, 2, 17):
+        records = [random_record(rng) for _ in range(count)]
+        state = TrustState(records=list(records))
+        for residual in (0.0, 3.0, rng.uniform(0.0, 100.0)):
+            assert state.score(residual) == trust_level(residual, records)
+        rec = random_record(rng)
+        state.add(rec)
+        assert state.score(3.0) == trust_level(3.0, records + [rec])
+
+
+def test_trust_state_window_trims_initial_records():
+    rng = random.Random(7)
+    r = random_record(rng)
+    state = TrustState(window=1, records=[r, r, r])
+    assert state.records == [r]
+    assert state.score(3.0) == trust_level(3.0, [r])
+    records = [random_record(rng) for _ in range(8)]
+    state = TrustState(window=3, records=list(records))
+    assert state.records == records[-3:]
+    assert state.score(2.0) == trust_level(2.0, records[-3:])
+
+
+def test_trust_state_quality_sum_is_not_an_init_field():
+    with pytest.raises(TypeError):
+        TrustState(_q_sum=5.0)
+    rng = random.Random(8)
+    records = [random_record(rng) for _ in range(3)]
+    built, grown = TrustState(records=list(records)), TrustState()
+    for rec in records:
+        grown.add(rec)
+    assert built == grown
+
+
 def test_dominance_increases_trust():
     rng = random.Random(77)
     for _ in range(1000):
