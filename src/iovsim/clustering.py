@@ -5,18 +5,21 @@ Clusters are concentric rings around the destination, one radio range
 how many one-hop strides separate a node from the destination, so the
 ring sequence along a good route counts down to zero.
 
-An assignment computes a node's cluster on first lookup, so a
-communication pays only for the nodes routing actually looks at.
+An assignment computes a node's cluster on first lookup, and picks a
+forwarding cluster in one pass over the candidates (nearest_members), so
+a communication pays only for the nodes routing actually looks at.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar
 
 from .network import Position, distance, polar_angle
 
 TWO_PI = 2.0 * math.pi
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class LazyClusters(Mapping):
     """Read-only map from each node live at assignment time to its
     ClusterId, computed on first lookup and kept for this assignment."""
 
-    def __init__(self, live: Dict[int, Position], dest: Position, d_1hop: float,
+    def __init__(self, live: Mapping[int, Position], dest: Position, d_1hop: float,
                  sector_count: int):
         self._live = live
         self._dest = dest
@@ -56,6 +59,34 @@ class LazyClusters(Mapping):
     def __len__(self) -> int:
         return len(self._live)
 
+    def nearest_members(self, pool: Iterable[Tuple[int, T]], toward: float,
+                        max_ring: int) -> List[T]:
+        """The items of the cluster nearest_cluster would pick among the
+        clusters of `pool` at or below `max_ring`, in one pass.
+
+        `pool` yields (node id, item); ids not in this map are skipped.
+        Rings use ring_index's arithmetic; sectors are computed only for
+        the lowest ring found, and no ClusterId is built.
+        """
+        live, dest, d_1hop = self._live, self._dest, self._d_1hop
+        best = max_ring
+        group: List[Tuple[T, Position]] = []
+        for nid, item in pool:
+            pos = live.get(nid)
+            if pos is None:
+                continue
+            ring = ring_index(pos, dest, d_1hop)
+            if ring < best:
+                best = ring
+                group = [(item, pos)]
+            elif ring == best:
+                group.append((item, pos))
+        if not group:
+            return []
+        sectors = [sector_index(pos, dest, self._sector_count) for _, pos in group]
+        chosen = _nearest_sector(set(sectors), toward, self._sector_count)
+        return [item for (item, _), s in zip(group, sectors) if s == chosen]
+
     def __repr__(self) -> str:
         return f"LazyClusters({dict(self)!r})"
 
@@ -65,7 +96,7 @@ class ClusterAssignment:
     destination: int
     d_1hop: float
     sector_count: int
-    by_node: Mapping[int, ClusterId]
+    by_node: LazyClusters
 
     def __hash__(self):  # pragma: no cover - never keyed on, defensive only
         return hash((self.destination, self.d_1hop, self.sector_count))
@@ -103,11 +134,20 @@ def assign_clusters(nodes, dest_id: int, d_1hop: float, sector_count: int) -> Cl
     Deterministic and idempotent: same inputs, same assignment.
     """
     items = nodes.values() if isinstance(nodes, dict) else nodes
-    live = {n.id: n.pos for n in items if n.alive}
-    if dest_id not in live:
+    return assign_positions({n.id: n.pos for n in items if n.alive},
+                            dest_id, d_1hop, sector_count)
+
+
+def assign_positions(positions: Mapping[int, Position], dest_id: int, d_1hop: float,
+                     sector_count: int) -> ClusterAssignment:
+    """assign_clusters over a ready map of live node id -> position.
+
+    The map is held, not copied: the caller must never mutate it, and
+    makes a new one when the live set changes.
+    """
+    if dest_id not in positions:
         raise ValueError(f"destination {dest_id} is not a live node")
-    dest_pos = live[dest_id]
-    by_node = LazyClusters(live, dest_pos, d_1hop, sector_count)
+    by_node = LazyClusters(positions, positions[dest_id], d_1hop, sector_count)
     by_node[dest_id]  # validates d_1hop and sector_count now
     return ClusterAssignment(
         destination=dest_id, d_1hop=d_1hop, sector_count=sector_count, by_node=by_node
@@ -123,6 +163,12 @@ def sector_midline(sector: int, sector_count: int) -> float:
     return (sector + 0.5) * TWO_PI / sector_count
 
 
+def _nearest_sector(sectors: Iterable[int], toward: float, sector_count: int) -> int:
+    """The sector whose midline is angularly closest to `toward`; ties go
+    to the smaller sector index."""
+    return min(sectors, key=lambda s: (_angular_gap(sector_midline(s, sector_count), toward), s))
+
+
 def nearest_cluster(candidates: Iterable[ClusterId], toward: float, sector_count: int) -> ClusterId:
     """Pick the candidate cluster closest to the destination.
 
@@ -133,7 +179,6 @@ def nearest_cluster(candidates: Iterable[ClusterId], toward: float, sector_count
     cands = list(candidates)
     if not cands:
         raise ValueError("no candidate clusters")
-    return min(
-        cands,
-        key=lambda c: (c.ring, _angular_gap(sector_midline(c.sector, sector_count), toward), c.sector),
-    )
+    ring = min(c.ring for c in cands)
+    sector = _nearest_sector({c.sector for c in cands if c.ring == ring}, toward, sector_count)
+    return ClusterId(ring=ring, sector=sector)

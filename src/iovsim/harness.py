@@ -14,6 +14,7 @@ and event time never runs backwards.
 
 import json
 import random
+from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -21,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .attacks import (DDOS, FINNEY, MITM, SYBIL, flood_queue, make_phantoms,
                       mark_communications, phantom_neighbours)
 from .bfo import optimize_split
-from .clustering import assign_clusters
+from .clustering import assign_positions
 from .config import ScenarioConfig
 from .ledger import Chain, ChainCostModel, append_delay, make_block, rejection_delay
 from .network import RX, TX, EnergyLedger, deploy, neighbour_index
@@ -139,21 +140,28 @@ def simulate(cfg: ScenarioConfig,
     route_failures = 0
     delivered_count = 0
 
+    deaths_seen = None
     for j in range(cfg.comm_count):
-        live = [n for n in nodes.values() if n.alive]
+        if energy.deaths != deaths_seen:
+            # liveness only moves when a battery empties; the old position
+            # map stays as it was for any assignment still holding it
+            deaths_seen = energy.deaths
+            live = [n for n in nodes.values() if n.alive]
+            live_ids = sorted(n.id for n in live)
+            live_pos = {n.id: n.pos for n in live}
         if len(live) < 2:
             break
         if j % cfg.miner_refresh_period == 0 or not miners:
             k = min(max(1, round(cfg.miner_fraction * len(live))), len(live))
             miners = select_miners(live, k)
 
-        live_ids = sorted(n.id for n in live)
         src_id, dest_id = pair_rng.sample(live_ids, 2)
         kind = marks.get(j)
         events.append("dispatch", clock, comm=j, src=src_id, dest=dest_id, attack=kind)
 
         route_nodes = nodes
         route_neighbours = neighbours
+        route_pos = live_pos
         aliases: Dict[int, int] = {}
         if kind == SYBIL:
             eligible = [i for i in live_ids if i not in (src_id, dest_id)]
@@ -164,10 +172,11 @@ def simulate(cfg: ScenarioConfig,
                 route_nodes = {**nodes, **{p.id: p for p in phantoms}}
                 route_neighbours = phantom_neighbours(neighbours, owner.id,
                                                       [p.id for p in phantoms])
+                route_pos = ChainMap({p.id: p.pos for p in phantoms}, live_pos)
                 events.append("attack_effect", clock, comm=j, attack=SYBIL,
                               owner=owner.id, identities=len(phantoms))
 
-        assignment = assign_clusters(route_nodes, dest_id, net.radio_range, net.sector_count)
+        assignment = assign_positions(route_pos, dest_id, net.radio_range, net.sector_count)
         src_energy_before = nodes[src_id].residual_energy
         trace = route(src_id, dest_id, assignment, route_nodes, net, energy, aliases,
                       neighbours=route_neighbours)

@@ -11,7 +11,7 @@ import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .trust import TrustState
 
@@ -150,6 +150,11 @@ class NetworkConfig:
             raise ValueError("processing_delay_ms must be >= 0")
         if self.initial_energy_mj <= 0:
             raise ValueError("initial_energy_mj must be positive")
+        # Bounds every distance / radio_range (ring indices) and, as the
+        # cell side is wider than the range, every grid cell index.
+        if not math.isfinite(math.hypot(self.area_side, self.area_side) / self.radio_range):
+            raise ValueError("area_side / radio_range is too large: distances in radio "
+                             "ranges overflow")
 
     def per_hop_delay_ms(self) -> float:
         return (self.packet_size / self.link_rate_bps) * 1000.0 + self.processing_delay_ms
@@ -225,13 +230,19 @@ def neighbour_index(nodes: Mapping[int, Node], radio_range: float) -> Dict[int, 
 
 
 class EnergyLedger:
-    """Double-entry log of energy draws: battery decrease == ledger entry."""
+    """Double-entry log of energy draws: battery decrease == ledger entry.
+
+    Batteries only drain, so a node dies at most once; `deaths` counts
+    the charges that emptied a battery, and a caller can cache anything
+    derived from liveness until it moves.
+    """
 
     def __init__(self, model: EnergyModel):
         self.model = model
         self.entries: List[Tuple[int, str, float]] = []
         self.total_drawn = 0.0
         self.dead_noops = 0
+        self.deaths = 0
 
     def charge(self, node: Node, action: str) -> float:
         """Draw the cost of `action` from node, flooring at zero.
@@ -246,12 +257,6 @@ class EnergyLedger:
         node.residual_energy -= drawn
         self.entries.append((node.id, action, drawn))
         self.total_drawn += drawn
+        if not node.alive:
+            self.deaths += 1
         return drawn
-
-
-def charge(node: Node, action: str, model: EnergyModel,
-           ledger: Optional[EnergyLedger] = None) -> float:
-    """Convenience wrapper when no shared ledger is in play."""
-    if ledger is None:
-        ledger = EnergyLedger(model)
-    return ledger.charge(node, action)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
 
-from .clustering import ClusterAssignment, nearest_cluster
+from .clustering import ClusterAssignment
 from .network import EnergyLedger, NetworkConfig, Node, RX, TX, distance, polar_angle
 
 DELIVERED = "delivered"
@@ -89,7 +89,8 @@ def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
     Direct delivery wins when the destination is in range. Otherwise
     candidates in a strictly nearer ring are preferred; same-ring
     (lateral) moves are allowed only when no nearer ring is reachable,
-    and no candidate in a farther ring is ever considered.
+    and no candidate in a farther ring is ever considered. Among the
+    lowest reachable ring, the sector is chosen as nearest_cluster does.
 
     `neighbours` (see network.neighbour_index) narrows the scan to the
     current node's radio neighbours; without it every node is scanned.
@@ -104,23 +105,17 @@ def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
     if cur_cid is None or dest_cid is None:
         raise ValueError("current and destination must be in the cluster assignment")
     scan = nodes if neighbours is None else neighbours[current.id]
-    pool = [
-        n for nid in scan
+    pool = (
+        (nid, n) for nid in scan
         if nid not in exclude and nid != current.id and nid != dest.id
-        and (n := nodes[nid]).alive and nid in amap
-        and distance(current.pos, n.pos) <= radio_range
-    ]
+        and (n := nodes[nid]).alive and distance(current.pos, n.pos) <= radio_range
+    )
     if cur_cid == dest_cid:
         cands = candidates_same_cluster(
-            current, dest, [n for n in pool if amap[n.id] == cur_cid], mode, radio_range
-        )
+            current, dest, [n for nid, n in pool if amap.get(nid) == cur_cid], mode, radio_range)
     else:
-        reachable = {amap[n.id] for n in pool if amap[n.id].ring <= cur_cid.ring}
-        if not reachable:
-            return None
         toward = polar_angle(current.pos, around=dest.pos)
-        chosen = nearest_cluster(reachable, toward, assignment.sector_count)
-        cands = [n for n in pool if amap[n.id] == chosen]
+        cands = amap.nearest_members(pool, toward, cur_cid.ring)
     if not cands:
         return None
     return _pick(current, cands, rtl_argmax).id

@@ -8,7 +8,7 @@ advertising themselves, but they cannot present records to back it.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,3 @@ def select_miners(nodes: Sequence, k: int) -> List:
     ranked = sorted(live, key=lambda n: (-n.trust_score(), n.id))
     return ranked[:k]
 
-
-def rank_table(nodes: Sequence) -> List[Tuple[int, float]]:
-    """(id, score) pairs in selection order, for inspection and tests."""
-    live = [n for n in nodes if n.alive]
-    return [(n.id, n.trust_score()) for n in sorted(live, key=lambda n: (-n.trust_score(), n.id))]

@@ -161,6 +161,8 @@ MALFORMED_SCENARIOS = [
     '{"network": {"radio_range": NaN}}',
     '{"network": {"radio_range": -Infinity}}',
     '{"network": {"area_side": 1e400}}',
+    '{"network": {"radio_range": 1e-320}, "comm_count": 5}',
+    '{"network": {"area_side": 1.5e308}, "comm_count": 5}',
     '{"cost_model": {"dr": Infinity}}',
     '{"network": {"energy_costs": {"tx": NaN}}}',
     '{"attack": {"mix": {"sybil": Infinity}}}',

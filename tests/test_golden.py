@@ -64,3 +64,44 @@ def test_1000_node_outputs_match_golden_digests(seed, attacks, tmp_path):
     csv_path, trace_path = tmp_path / "run.csv", tmp_path / "trace.jsonl"
     emit_csv([run_scenario(cfg, trace_path=str(trace_path))], str(csv_path))
     assert (_sha256(csv_path), _sha256(trace_path)) == GOLDEN_1000[(seed, attacks)]
+
+
+# Death-path cases: batteries small enough that most nodes die, so the
+# live set shrinks mid-run. (seed, attacks) -> digests for 100 nodes with
+# 5 mJ each over 400 communications (about 90 nodes die).
+GOLDEN_DEATHS = {
+    (1, False): ("c9aa572d051d729c5666fc66b8e1fd8cc6eab62f47c9611b6bee40604b939057",
+                 "bf26e9decbbe62439fc3f259ff6d809162da2ab68b60bc1981fb657c3a4be0bb"),
+    (1, True): ("57dac5843525a028b58fab9a8fc9ff4c7bd18f72617ea3048a854f0cf998c122",
+                "02af5551429d9ca732406268b7fb9221a93c7e78a73fc9b08db3a884ca927f37"),
+    (2, False): ("b0499a87b629a5a7de0485c75bb96d88a7d867f11ac2987c1b60d015767c39da",
+                 "ba2f466778c07a6e1bbaf5f8a7598469d8ba5af057fdd88e4a9417d7e4a9e26d"),
+    (2, True): ("602123303b65bf3282f51c2dd7edd70f9e74f9f71aeaa3d1c7dba565187c57c8",
+                "8b23067138ce284997a6670e88cd181a38921312613c5c97d915cbbd3c27eb9c"),
+}
+
+
+@pytest.mark.parametrize("seed,attacks", sorted(GOLDEN_DEATHS))
+def test_death_path_outputs_match_golden_digests(seed, attacks, tmp_path):
+    base = ScenarioConfig(comm_count=400)
+    network = replace(base.network, initial_energy_mj=5.0)
+    cfg = replace(base, network=network).reseeded(seed).with_attacks(attacks)
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "trace.jsonl"
+    emit_csv([run_scenario(cfg, trace_path=str(trace_path))], str(csv_path))
+    assert (_sha256(csv_path), _sha256(trace_path)) == GOLDEN_DEATHS[(seed, attacks)]
+
+
+def test_run_out_of_live_nodes_matches_golden_digests(tmp_path):
+    # 30 nodes at the default density with 3 mJ each, attacks on: the
+    # run stops at communication 135, when fewer than two nodes are live
+    base = ScenarioConfig(comm_count=600)
+    network = replace(base.network, node_count=30, area_side=2500.0 * math.sqrt(0.3),
+                      initial_energy_mj=3.0)
+    cfg = replace(base, network=network).reseeded(1).with_attacks(True)
+    csv_path, trace_path = tmp_path / "run.csv", tmp_path / "trace.jsonl"
+    report = run_scenario(cfg, trace_path=str(trace_path))
+    emit_csv([report], str(csv_path))
+    assert report.n_comms == 135
+    assert (_sha256(csv_path), _sha256(trace_path)) == (
+        "2e2733dc9254fa010d520f9a4dba69651160e1cc595ddbd48b41e3799f382e3c",
+        "22095b3a6cdd2315a110ca106f2596be5baa06562ec7df59257f21de3cdaf55e")

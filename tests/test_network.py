@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,6 @@ from iovsim.network import (
     Node,
     PacketQueue,
     Position,
-    charge,
     deploy,
     distance,
     neighbour_index,
@@ -69,7 +69,7 @@ def test_deploy_empirical_mean_near_center():
 def test_charge_worked_values():
     model = EnergyModel()
     node = Node(0, Position(0, 0), 10.0, PacketQueue(4))
-    assert charge(node, TX, model) == pytest.approx(0.4)
+    assert EnergyLedger(model).charge(node, TX) == pytest.approx(0.4)
     assert node.residual_energy == pytest.approx(9.6)
 
     node = Node(0, Position(0, 0), 5.0, PacketQueue(4))
@@ -91,6 +91,25 @@ def test_charge_floors_at_zero_and_dead_is_reported_noop():
     assert ledger.charge(node, TX) == 0.0
     assert ledger.dead_noops == 1
     assert node.residual_energy == 0.0
+
+
+def test_death_count_moves_only_when_a_charge_empties_a_battery():
+    model = EnergyModel(tx=0.4, rx=0.1, idle=0.0)
+    rng = random.Random(17)
+    nodes = [Node(i, Position(0, 0), rng.choice([0.1, 0.4, 0.5, 1.0, 1.3]), PacketQueue(4))
+             for i in range(12)]
+    ledger = EnergyLedger(model)
+    for _ in range(400):
+        node = rng.choice(nodes)
+        was_alive, deaths, noops = node.alive, ledger.deaths, ledger.dead_noops
+        ledger.charge(node, rng.choice([TX, RX, IDLE]))
+        if was_alive:
+            assert ledger.deaths == deaths + (not node.alive)
+            assert ledger.dead_noops == noops
+        else:  # a dead-node no-op never counts as a death
+            assert ledger.deaths == deaths
+            assert ledger.dead_noops == noops + 1
+    assert ledger.deaths == sum(not n.alive for n in nodes) > 0
 
 
 def test_energy_conservation_against_ledger():
@@ -157,6 +176,21 @@ def test_network_config_validation():
         NetworkConfig(packet_size=0)
     with pytest.raises(ValueError):
         NetworkConfig(link_rate_bps=0)
+
+
+@pytest.mark.parametrize("area_side,radio_range", [
+    (2500.0, 1e-320), (1.5e308, 550.0), (1e300, 1e-10),
+])
+def test_network_config_rejects_geometry_that_overflows(area_side, radio_range):
+    # distances in radio ranges (ring indices, grid cells) must stay finite
+    with pytest.raises(ValueError):
+        NetworkConfig(area_side=area_side, radio_range=radio_range)
+
+
+def test_network_config_accepts_extreme_but_finite_geometry():
+    cfg = NetworkConfig(area_side=1e300, radio_range=1e-5)
+    nodes = deploy(replace(cfg, node_count=5))
+    assert all(ids == () for ids in neighbour_index(nodes, cfg.radio_range).values())
 
 
 def test_per_hop_delay():

@@ -1,15 +1,18 @@
 import random
+from collections import ChainMap
 
 import pytest
 
 from iovsim.attacks import make_phantoms, phantom_neighbours
-from iovsim.clustering import assign_clusters
-from iovsim.network import EnergyLedger, NetworkConfig, Position, neighbour_index
+from iovsim.clustering import assign_clusters, assign_positions, nearest_cluster
+from iovsim.network import (EnergyLedger, NetworkConfig, Position, distance, neighbour_index,
+                            polar_angle)
 from iovsim.routing import (
     DELIVERED,
     ENERGY_EXHAUSTED,
     NO_CANDIDATE,
     RouteTrace,
+    _pick,
     candidates_same_cluster,
     next_hop,
     relative_trust,
@@ -287,25 +290,72 @@ def scored_topology(seed: int, count: int = 40, area: float = 500.0,
     return nodes, rng
 
 
-def assert_same_decisions(nodes, neighbours, rng, radio_range, sector_count=8):
-    """next_hop with and without the index, for every (current, dest) pair."""
-    decided = 0
-    for dest in sorted(nodes):
-        if not nodes[dest].alive:
-            continue
-        assignment = assign_clusters(nodes, dest, radio_range, sector_count)
-        for cur in sorted(assignment.by_node):
-            if cur == dest:
+def oracle_next_hop(current, dest, assignment, nodes, mode, radio_range,
+                    rtl_argmax=False, exclude=frozenset(), neighbours=None):
+    """The cluster-by-cluster decision next_hop replaced: build every pool
+    node's ClusterId, collect the reachable clusters, let nearest_cluster
+    pick one, then rank its members."""
+    if current.id == dest.id:
+        raise ValueError("already at destination")
+    if distance(current.pos, dest.pos) <= radio_range:
+        return dest.id
+    amap = assignment.by_node
+    cur_cid, dest_cid = amap.get(current.id), amap.get(dest.id)
+    if cur_cid is None or dest_cid is None:
+        raise ValueError("current and destination must be in the cluster assignment")
+    scan = nodes if neighbours is None else neighbours[current.id]
+    pool = [
+        n for nid in scan
+        if nid not in exclude and nid != current.id and nid != dest.id
+        and (n := nodes[nid]).alive and nid in amap
+        and distance(current.pos, n.pos) <= radio_range
+    ]
+    if cur_cid == dest_cid:
+        cands = candidates_same_cluster(
+            current, dest, [n for n in pool if amap[n.id] == cur_cid], mode, radio_range)
+    else:
+        reachable = {amap[n.id] for n in pool if amap[n.id].ring <= cur_cid.ring}
+        if not reachable:
+            return None
+        toward = polar_angle(current.pos, around=dest.pos)
+        chosen = nearest_cluster(reachable, toward, assignment.sector_count)
+        cands = [n for n in pool if amap[n.id] == chosen]
+    if not cands:
+        return None
+    return _pick(current, cands, rtl_argmax).id
+
+
+def assert_same_decisions(nodes, neighbours, rng, radio_range, assignments=None, dests=None):
+    """next_hop, with and without the index, agrees with oracle_next_hop for
+    every member of each assignment as the current node, in both modes and
+    both ranking directions, with random exclusions. By default each live
+    node is the destination of its own assignment; with `dests`, every
+    assignment is used to route toward each of them. Returns how many
+    decisions took the same-cluster branch."""
+    if assignments is None:
+        assignments = [assign_clusters(nodes, dest, radio_range, 8)
+                       for dest in sorted(nodes) if nodes[dest].alive]
+    same_cluster = moved = 0
+    for assignment in assignments:
+        amap = assignment.by_node
+        for dest in [assignment.destination] if dests is None else dests:
+            if dest not in amap:
                 continue
-            exclude = frozenset(rng.sample(sorted(nodes), rng.randint(0, 6)))
-            for mode in ("inverted", "literal"):
-                for argmax in (False, True):
-                    args = (nodes[cur], nodes[dest], assignment, nodes, mode, radio_range,
-                            argmax, exclude)
-                    want = next_hop(*args)
-                    assert next_hop(*args, neighbours=neighbours) == want
-                    decided += want is not None
-    assert decided > 0
+            for cur in sorted(amap):
+                if cur == dest:
+                    continue
+                same_cluster += amap[cur] == amap[dest]
+                exclude = frozenset(rng.sample(sorted(nodes), rng.randint(0, 6)))
+                for mode in ("inverted", "literal"):
+                    for argmax in (False, True):
+                        args = (nodes[cur], nodes[dest], assignment, nodes, mode,
+                                radio_range, argmax, exclude)
+                        want = oracle_next_hop(*args)
+                        assert next_hop(*args) == want
+                        assert next_hop(*args, neighbours=neighbours) == want
+                        moved += want is not None
+    assert moved > 0
+    return same_cluster
 
 
 def test_next_hop_with_index_matches_full_scan():
@@ -318,22 +368,19 @@ def test_next_hop_with_index_matches_full_scan_with_dead_nodes():
     for seed in range(3, 6):
         nodes, rng = scored_topology(seed)
         index = neighbour_index(nodes, 150.0)
-        for nid in rng.sample(sorted(nodes), 8):
+        dead = rng.sample(sorted(nodes), 8)
+        for nid in dead:
             nodes[nid].residual_energy = 0.0
-        assert_same_decisions(nodes, index, rng, 150.0)
-        # a node dying after the assignment stays a member but is skipped
-        first_live = min(nid for nid, n in nodes.items() if n.alive)
-        assignment = assign_clusters(nodes, first_live, 150.0, 8)
-        dest = nodes[assignment.destination]
-        for nid in rng.sample(sorted(assignment.by_node), 6):
-            if nid != dest.id:
-                nodes[nid].residual_energy = 0.0
-        for cur in sorted(assignment.by_node):
-            if cur != dest.id:
-                args = (nodes[cur], dest, assignment, nodes, "inverted", 150.0)
-                got = next_hop(*args, neighbours=index)
-                assert got == next_hop(*args)
-                assert got is None or nodes[got].alive
+        assignments = [assign_clusters(nodes, dest, 150.0, 8)
+                       for dest in sorted(nodes) if nodes[dest].alive]
+        # these die after the assignments: still members, never picked
+        for nid in rng.sample(sorted(assignments[0].by_node), 6):
+            nodes[nid].residual_energy = 0.0
+        # and these revive: live, but not members, so never picked either
+        for nid in dead[:3]:
+            nodes[nid].residual_energy = 50.0
+        assert_same_decisions(nodes, index, rng, 150.0,
+                              [a for a in assignments if nodes[a.destination].alive])
 
 
 def test_next_hop_with_sybil_overlay_matches_full_scan():
@@ -347,7 +394,29 @@ def test_next_hop_with_sybil_overlay_matches_full_scan():
         overlay = phantom_neighbours(index, owner.id, [p.id for p in phantoms])
         assert dict(overlay) == neighbour_index(route_nodes, 150.0)
         assert index == before  # the static index is not touched
-        assert_same_decisions(route_nodes, overlay, rng, 150.0)
+        # the harness path: live positions with the phantoms overlaid
+        positions = ChainMap({p.id: p.pos for p in phantoms},
+                             {n.id: n.pos for n in nodes.values()})
+        assignments = [assign_positions(positions, dest, 150.0, 8)
+                       for dest in rng.sample(sorted(nodes), 20)]
+        for a in assignments:
+            assert a.by_node == assign_clusters(route_nodes, a.destination, 150.0, 8).by_node
+        assert_same_decisions(route_nodes, overlay, rng, 150.0, assignments)
+
+
+@pytest.mark.parametrize("d_1hop,sector_count", [(150.0, 8), (300.0, 3), (450.0, 1)])
+def test_next_hop_matches_oracle_for_an_assignment_around_another_node(d_1hop, sector_count):
+    # with the assignment centred elsewhere, current and dest can share a
+    # cluster, which takes the same-cluster branch
+    same_cluster = 0
+    for seed in range(22, 24):
+        nodes, rng = scored_topology(seed)
+        index = neighbour_index(nodes, 150.0)
+        assignments = [assign_clusters(nodes, c, d_1hop, sector_count)
+                       for c in rng.sample(sorted(nodes), 2)]
+        same_cluster += assert_same_decisions(nodes, index, rng, 150.0, assignments,
+                                              dests=rng.sample(sorted(nodes), 20))
+    assert same_cluster > 0
 
 
 def test_phantoms_reach_the_owner_range_only():

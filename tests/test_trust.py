@@ -9,7 +9,6 @@ from iovsim.trust import (
     TrustState,
     delivery_ratio,
     energy_spent,
-    rank_table,
     round_trip_ms,
     select_miners,
     throughput,
@@ -154,9 +153,8 @@ def test_select_miners_bounds_and_dead_exclusion():
         select_miners(nodes, 0)
 
 
-def test_rank_table_descending():
+def test_select_miners_ranks_by_descending_score():
     rng = random.Random(12)
     nodes = [node_with_tl(i, Position(i, 0), rng.uniform(0, 50)) for i in range(30)]
-    table = rank_table(nodes)
-    scores = [s for _, s in table]
+    scores = [n.trust_score() for n in select_miners(nodes, len(nodes))]
     assert scores == sorted(scores, reverse=True)
