@@ -13,13 +13,11 @@ a communication pays only for the nodes routing actually looks at.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Tuple
 
-from .network import Position, distance, polar_angle
+from .network import Node, Position, distance, polar_angle
 
 TWO_PI = 2.0 * math.pi
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -59,33 +57,33 @@ class LazyClusters(Mapping):
     def __len__(self) -> int:
         return len(self._live)
 
-    def nearest_members(self, pool: Iterable[Tuple[int, T]], toward: float,
-                        max_ring: int) -> List[T]:
-        """The items of the cluster nearest_cluster would pick among the
+    def nearest_members(self, pool: Iterable[Node], toward: float,
+                        max_ring: int) -> List[Node]:
+        """The nodes of the cluster nearest_cluster would pick among the
         clusters of `pool` at or below `max_ring`, in one pass.
 
-        `pool` yields (node id, item); ids not in this map are skipped.
-        Rings use ring_index's arithmetic; sectors are computed only for
-        the lowest ring found, and no ClusterId is built.
+        Nodes not in this map are skipped. Rings use ring_index's
+        arithmetic; sectors are computed only for the lowest ring found,
+        and no ClusterId is built.
         """
         live, dest, d_1hop = self._live, self._dest, self._d_1hop
         best = max_ring
-        group: List[Tuple[T, Position]] = []
-        for nid, item in pool:
-            pos = live.get(nid)
+        group: List[Tuple[Node, Position]] = []
+        for n in pool:
+            pos = live.get(n.id)
             if pos is None:
                 continue
             ring = ring_index(pos, dest, d_1hop)
             if ring < best:
                 best = ring
-                group = [(item, pos)]
+                group = [(n, pos)]
             elif ring == best:
-                group.append((item, pos))
+                group.append((n, pos))
         if not group:
             return []
         sectors = [sector_index(pos, dest, self._sector_count) for _, pos in group]
         chosen = _nearest_sector(set(sectors), toward, self._sector_count)
-        return [item for (item, _), s in zip(group, sectors) if s == chosen]
+        return [n for (n, _), s in zip(group, sectors) if s == chosen]
 
     def __repr__(self) -> str:
         return f"LazyClusters({dict(self)!r})"

@@ -106,13 +106,13 @@ def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
         raise ValueError("current and destination must be in the cluster assignment")
     scan = nodes if neighbours is None else neighbours[current.id]
     pool = (
-        (nid, n) for nid in scan
+        n for nid in scan
         if nid not in exclude and nid != current.id and nid != dest.id
         and (n := nodes[nid]).alive and distance(current.pos, n.pos) <= radio_range
     )
     if cur_cid == dest_cid:
         cands = candidates_same_cluster(
-            current, dest, [n for nid, n in pool if amap.get(nid) == cur_cid], mode, radio_range)
+            current, dest, [n for n in pool if amap.get(n.id) == cur_cid], mode, radio_range)
     else:
         toward = polar_angle(current.pos, around=dest.pos)
         cands = amap.nearest_members(pool, toward, cur_cid.ring)

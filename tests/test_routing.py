@@ -373,6 +373,7 @@ def test_next_hop_with_index_matches_full_scan_with_dead_nodes():
             nodes[nid].residual_energy = 0.0
         assignments = [assign_clusters(nodes, dest, 150.0, 8)
                        for dest in sorted(nodes) if nodes[dest].alive]
+        assert_same_decisions(nodes, index, rng, 150.0, assignments)
         # these die after the assignments: still members, never picked
         for nid in rng.sample(sorted(assignments[0].by_node), 6):
             nodes[nid].residual_energy = 0.0
@@ -394,11 +395,12 @@ def test_next_hop_with_sybil_overlay_matches_full_scan():
         overlay = phantom_neighbours(index, owner.id, [p.id for p in phantoms])
         assert dict(overlay) == neighbour_index(route_nodes, 150.0)
         assert index == before  # the static index is not touched
+        assert_same_decisions(route_nodes, overlay, rng, 150.0)
         # the harness path: live positions with the phantoms overlaid
         positions = ChainMap({p.id: p.pos for p in phantoms},
                              {n.id: n.pos for n in nodes.values()})
         assignments = [assign_positions(positions, dest, 150.0, 8)
-                       for dest in rng.sample(sorted(nodes), 20)]
+                       for dest in sorted(route_nodes)]
         for a in assignments:
             assert a.by_node == assign_clusters(route_nodes, a.destination, 150.0, 8).by_node
         assert_same_decisions(route_nodes, overlay, rng, 150.0, assignments)
