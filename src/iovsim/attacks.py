@@ -6,8 +6,9 @@ attacks are enabled. Mechanics:
 
   sybil   the attacker spins up phantom identities at its own position
           that advertise its trust score, inflating candidate pools
-  ddos    extra data packets are slammed into the victim queue ahead of
-          the real traffic, so drop-tail sheds the real packets
+  ddos    a flooder sends flood_multiplier junk packets to the victim
+          ahead of the real traffic; they take the first slots of its
+          drop-tail buffer, so the real packets that do not fit are shed
   finney  the communication's block is submitted with a broken digest
           link and bounces off verification
   mitm    an intermediate hop corrupts the payload, so what arrives
@@ -23,7 +24,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .network import Node, PacketQueue
+from .network import Node
 
 SYBIL = "sybil"
 DDOS = "ddos"
@@ -51,7 +52,7 @@ class AttackProfile:
         unknown = set(self.mix) - set(KINDS)
         if unknown:
             raise ValueError(f"unknown attack kinds in mix: {sorted(unknown)}")
-        if any(w < 0 for w in self.mix.values()):
+        if not all(w >= 0 for w in self.mix.values()):  # NaN fails too
             raise ValueError("mix weights must be >= 0")
         if self.fraction > 0 and sum(self.mix.values()) <= 0:
             raise ValueError("mix weights must not all be zero")
@@ -97,7 +98,6 @@ def make_phantoms(owner: Node, count: int, serial: int) -> Tuple[List[Node], Dic
             id=pid,
             pos=owner.pos,
             residual_energy=owner.residual_energy,
-            queue=PacketQueue(1),
             is_attacker=True,
             trust=owner.trust,
         ))
@@ -119,13 +119,3 @@ def phantom_neighbours(neighbours: Mapping[int, Sequence[int]], owner_id: int,
     for pid in phantom_ids:
         overlay[pid] = tuple(sorted((*around, owner_id, *(p for p in phantom_ids if p != pid))))
     return ChainMap(overlay, neighbours)
-
-
-def flood_queue(queue: PacketQueue, packets: int) -> int:
-    """Stuff `packets` junk data packets into the queue; returns how many
-    were accepted (the rest were dropped on arrival)."""
-    accepted = 0
-    for i in range(packets):
-        if queue.push(("flood", i), PacketQueue.DATA):
-            accepted += 1
-    return accepted

@@ -15,12 +15,11 @@ and event time never runs backwards.
 import json
 import random
 from collections import ChainMap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .attacks import (DDOS, FINNEY, MITM, SYBIL, flood_queue, make_phantoms,
-                      mark_communications, phantom_neighbours)
+from .attacks import (DDOS, FINNEY, MITM, SYBIL, make_phantoms, mark_communications,
+                      phantom_neighbours)
 from .bfo import optimize_split
 from .clustering import assign_positions
 from .config import ScenarioConfig
@@ -28,7 +27,7 @@ from .ledger import Chain, ChainCostModel, append_delay, make_block, rejection_d
 from .network import RX, TX, EnergyLedger, deploy, neighbour_index
 from .routing import route
 from .seeding import mix64
-from .trust import CommRecord, TrustState, select_miners
+from .trust import CommRecord, select_miners
 
 _PAIRS_TAG = 0x9A165
 _MARK_TAG = 0xA77AC
@@ -117,7 +116,7 @@ def simulate(cfg: ScenarioConfig,
     nodes = deploy(net)
     neighbours = neighbour_index(nodes, net.radio_range)
     for n in nodes.values():
-        n.trust = TrustState(window=cfg.trust_window)
+        n.trust.window = cfg.trust_window  # histories are still empty
     energy = EnergyLedger(net.energy_costs)
     seed = net.rng_seed
     pair_rng = random.Random(mix64(seed, _PAIRS_TAG))
@@ -185,10 +184,11 @@ def simulate(cfg: ScenarioConfig,
             hop_clock += hop_delay
             events.append("hop", hop_clock, comm=j, to=hop_to)
 
-        # packet accounting at the destination queue (drained per comm)
+        # packet accounting at the destination: a drop-tail buffer of
+        # queue_capacity slots, empty at the start of every comm, takes
+        # the flood first and then the data; what does not fit is dropped
         dest_node = nodes[dest_id]
-        dest_node.queue.clear()
-        drops_before = dest_node.queue.dropped
+        room = net.queue_capacity
         if kind == DDOS:
             eligible = [i for i in live_ids if i not in (src_id, dest_id)]
             if eligible:
@@ -197,22 +197,22 @@ def simulate(cfg: ScenarioConfig,
                 for _ in range(cfg.attack.flood_multiplier):
                     energy.charge(flooder, TX)
                     energy.charge(dest_node, RX)
-                accepted = flood_queue(dest_node.queue, cfg.attack.flood_multiplier)
+                queued = min(room, cfg.attack.flood_multiplier)
+                room -= queued
+                drops += cfg.attack.flood_multiplier - queued
                 events.append("attack_effect", hop_clock, comm=j, attack=DDOS,
-                              flooder=flooder.id, queued=accepted)
+                              flooder=flooder.id, queued=queued)
         rx_pkts = 0
         tx_pkts = net.packets_per_comm
         if trace.delivered:
-            for p in range(tx_pkts):
-                if dest_node.queue.push(("data", j, p)):
-                    rx_pkts += 1
+            rx_pkts = min(room, tx_pkts)
+            drops += tx_pkts - rx_pkts
         if kind == MITM and trace.delivered and len(trace.hops) >= 3:
             corrupt_at = fx_rng.randrange(1, len(trace.hops) - 1)
             middleman = aliases.get(trace.hops[corrupt_at], trace.hops[corrupt_at])
             nodes[middleman].is_attacker = True
             rx_pkts = 0
             events.append("attack_effect", hop_clock, comm=j, attack=MITM, at=middleman)
-        drops += dest_node.queue.dropped - drops_before
 
         # one block per communication; a finney mark breaks its digest link
         miner = miners[j % len(miners)]
@@ -332,6 +332,7 @@ def sweep(base: ScenarioConfig, comm_counts: Sequence[int], seeds: Sequence[int]
                 failures.append((scenario_label(cfg), cfg.network.rng_seed, str(exc)))
                 results.append(None)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing is slow to import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(runner, cfg) for cfg in cfgs]
             for cfg, fut in zip(cfgs, futures):

@@ -51,7 +51,7 @@ class ChainCostModel:
 
     def __post_init__(self):
         for name in ("dr", "dv", "dh", "dw"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -1,17 +1,20 @@
-"""Physical network substrate: deployment, radio geometry, energy, queues.
+"""Physical network substrate: deployment, radio geometry, energy.
 
 Topology is static. Links are unit-disk: two nodes can exchange packets
 iff their euclidean distance is within radio_range, so each node's
 neighbour list is built once per deployment (neighbour_index). Energy
 draws go through an EnergyLedger so every mJ leaving a battery has a
 matching ledger entry (conservation is testable).
+
+Nodes carry no packet buffer: harness.simulate counts drop-tail drops
+with arithmetic, and PacketQueue is the per-packet model of that buffer.
 """
 
 import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .trust import TrustState
 
@@ -55,7 +58,7 @@ class EnergyModel:
 
     def __post_init__(self):
         for name in (TX, RX, SLEEP, TRANSITION, IDLE):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"energy cost {name} must be >= 0")
 
     def cost_of(self, action: str) -> float:
@@ -130,9 +133,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.node_count < 2:
             raise ValueError("need at least two nodes")
-        if self.area_side <= 0:
+        # float checks are written so that NaN fails them
+        if not self.area_side > 0:
             raise ValueError("area_side must be positive")
-        if self.radio_range <= 0:
+        if not self.radio_range > 0:
             raise ValueError("radio_range must be positive")
         if self.sector_count < 1:
             raise ValueError("sector_count must be >= 1")
@@ -144,11 +148,11 @@ class NetworkConfig:
             raise ValueError("packet_size must be >= 1 bit")
         if self.packets_per_comm < 1:
             raise ValueError("packets_per_comm must be >= 1")
-        if self.link_rate_bps <= 0:
+        if not self.link_rate_bps > 0:
             raise ValueError("link_rate_bps must be positive")
-        if self.processing_delay_ms < 0:
+        if not self.processing_delay_ms >= 0:
             raise ValueError("processing_delay_ms must be >= 0")
-        if self.initial_energy_mj <= 0:
+        if not self.initial_energy_mj > 0:
             raise ValueError("initial_energy_mj must be positive")
         # Bounds every distance / radio_range (ring indices) and, as the
         # cell side is wider than the range, every grid cell index.
@@ -165,7 +169,7 @@ class Node:
     id: int
     pos: Position
     residual_energy: float
-    queue: PacketQueue
+    queue: Optional[PacketQueue] = None
     is_attacker: bool = False
     trust: TrustState = field(default_factory=TrustState)
 
@@ -192,7 +196,6 @@ def deploy(config: NetworkConfig) -> Dict[int, Node]:
             id=nid,
             pos=Position(x, y),
             residual_energy=config.initial_energy_mj,
-            queue=PacketQueue(config.queue_capacity),
         )
     return nodes
 

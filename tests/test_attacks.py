@@ -11,11 +11,10 @@ from iovsim.attacks import (
     PHANTOM_ID_BASE,
     SYBIL,
     AttackProfile,
-    flood_queue,
     make_phantoms,
     mark_communications,
 )
-from iovsim.network import PacketQueue, Position
+from iovsim.network import Position
 from iovsim.trust import CommRecord
 
 from helpers import node_with_tl
@@ -91,6 +90,7 @@ def test_phantoms_mirror_owner_and_alias_back():
     for p in phantoms:
         assert p.pos == owner.pos
         assert p.is_attacker
+        assert p.queue is None
         assert p.trust_score() == owner.trust_score()
         assert aliases[p.id] == owner.id
 
@@ -116,20 +116,3 @@ def test_phantoms_advertise_by_sharing_the_owner_trust_object():
                                e_start=2.0, e_complete=1.0))
     assert phantoms[0].trust_score() > before
 
-
-def test_flood_queue_counts_accepted():
-    q = PacketQueue(capacity=8)
-    assert flood_queue(q, 5) == 5
-    assert flood_queue(q, 5) == 3
-    assert q.dropped == 2
-    assert len(q) == 8
-
-
-def test_flood_fills_ahead_of_real_traffic():
-    q = PacketQueue(capacity=10)
-    flood_queue(q, 10)
-    # real packets arriving after the flood are shed by drop-tail
-    assert not q.push(("real", 0), PacketQueue.DATA)
-    assert not q.push(("ctl", 0), PacketQueue.CONTROL)
-    assert q.dropped == 2
-    assert q.pop() == ("flood", 0)

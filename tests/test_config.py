@@ -2,13 +2,15 @@ import json
 
 import pytest
 
-from iovsim.attacks import DDOS, SYBIL
+from iovsim.attacks import DDOS, SYBIL, AttackProfile
 from iovsim.config import (
     ConfigError,
     ScenarioConfig,
     config_from_dict,
     load_config,
 )
+from iovsim.ledger import ChainCostModel
+from iovsim.network import EnergyModel, NetworkConfig
 from iovsim.seeding import mix64
 
 
@@ -115,6 +117,27 @@ def test_invalid_values_surface_as_config_errors():
 def test_mistyped_and_non_finite_values_rejected(data, where):
     with pytest.raises(ConfigError, match=where):
         config_from_dict(data)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: EnergyModel(tx=NAN),
+    lambda: EnergyModel(idle=NAN),
+    lambda: NetworkConfig(area_side=NAN),
+    lambda: NetworkConfig(radio_range=NAN),
+    lambda: NetworkConfig(link_rate_bps=NAN),
+    lambda: NetworkConfig(processing_delay_ms=NAN),
+    lambda: NetworkConfig(initial_energy_mj=NAN),
+    lambda: ChainCostModel(dr=NAN),
+    lambda: AttackProfile(mix={DDOS: NAN}),
+], ids=["energy-tx", "energy-idle", "area_side", "radio_range", "link_rate_bps",
+        "processing_delay_ms", "initial_energy_mj", "cost-dr", "mix-weight"])
+def test_nan_fails_the_sign_checks_through_the_api(build):
+    # the JSON path rejects NaN by type; built in Python it must still fail
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_typed_values_accepted():

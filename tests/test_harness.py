@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import iovsim
 from iovsim.attacks import DDOS, FINNEY, MITM, SYBIL, PHANTOM_ID_BASE, AttackProfile
 from iovsim.bfo import BfoConfig
 from iovsim.config import ScenarioConfig
@@ -18,7 +23,8 @@ from iovsim.harness import (
     sweep,
 )
 from iovsim.ledger import verify
-from iovsim.network import NetworkConfig
+from iovsim.network import NetworkConfig, PacketQueue
+from iovsim.trust import TrustState
 
 
 def small_scenario(comms: int = 60, seed: int = 3, **overrides) -> ScenarioConfig:
@@ -158,6 +164,69 @@ def test_ddos_floods_cost_packets_and_energy():
     floods = [e for e in events.events
               if e.kind == "attack_effect" and e.data["attack"] == DDOS]
     assert floods
+
+
+def replay_drops(cfg: ScenarioConfig, events: EventLog) -> int:
+    """Replay a run's packets through a real PacketQueue per communication
+    and return its drop count, checking each count the trace holds."""
+    flood = cfg.attack.flood_multiplier
+    queues, corrupted = {}, set()
+    for e in events.events:
+        d = e.data
+        if e.kind == "dispatch":
+            queues[d["comm"]] = q = PacketQueue(cfg.network.queue_capacity)
+        elif e.kind == "attack_effect" and d["attack"] == DDOS:
+            assert sum(q.push(("flood", i)) for i in range(flood)) == d["queued"]
+        elif e.kind == "attack_effect" and d["attack"] == MITM:
+            corrupted.add(d["comm"])
+        elif e.kind == "complete" and d["delivered"]:
+            accepted = sum(q.push(("data", i)) for i in range(d["tx"]))
+            assert d["rx"] == (0 if d["comm"] in corrupted else accepted)
+    return sum(q.dropped for q in queues.values())
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 25])
+@pytest.mark.parametrize("flood", [1, 10, 40])
+@pytest.mark.parametrize("packets", [1, 20])
+def test_drop_arithmetic_matches_a_replayed_packet_queue(capacity, flood, packets):
+    base = small_scenario(comms=60)
+    cfg = replace(base,
+                  network=replace(base.network, queue_capacity=capacity,
+                                  packets_per_comm=packets),
+                  attack=AttackProfile(fraction=0.5, mix={DDOS: 2.0, MITM: 1.0},
+                                       flood_multiplier=flood))
+    report, events = simulate(cfg)
+    assert any(e.kind == "attack_effect" and e.data["attack"] == DDOS for e in events.events)
+    assert replay_drops(cfg, events) == report.drops
+    if flood + packets > capacity:
+        assert report.drops > 0
+
+
+def test_simulate_builds_each_trust_state_once(monkeypatch):
+    built = []
+    post_init = TrustState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TrustState, "__post_init__", counting)
+    cfg = small_scenario(comms=60, trust_window=3).with_attacks(True)
+    state = {}
+    simulate(cfg, state_out=state)
+    assert len(built) == cfg.network.node_count
+    assert all(n.trust.window == 3 for n in state["nodes"].values())
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only sweep with jobs > 1 needs multiprocessing, which is slow to import
+    src_dir = str(Path(iovsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, iovsim; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_mitm_erases_received_packets():

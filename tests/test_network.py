@@ -57,6 +57,11 @@ def test_deploy_is_seed_deterministic_and_in_bounds():
         assert n.alive
 
 
+def test_deploy_builds_no_queues():
+    nodes = deploy(NetworkConfig(node_count=30, queue_capacity=7))
+    assert all(n.queue is None for n in nodes.values())
+
+
 def test_deploy_empirical_mean_near_center():
     cfg = NetworkConfig(node_count=4000, area_side=2500.0, rng_seed=5)
     nodes = deploy(cfg)
@@ -152,7 +157,10 @@ def test_queue_drop_tail():
     q = PacketQueue(2)
     assert q.push(1) and q.push(2)
     assert not q.push(3)
-    assert q.dropped == 1
+    # a full queue sheds control packets too: priority orders service,
+    # it does not make room
+    assert not q.push(3, PacketQueue.CONTROL)
+    assert q.dropped == 2
     assert len(q) == 2
     q.clear()
     assert len(q) == 0
