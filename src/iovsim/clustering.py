@@ -96,9 +96,6 @@ class ClusterAssignment:
     sector_count: int
     by_node: LazyClusters
 
-    def __hash__(self):  # pragma: no cover - never keyed on, defensive only
-        return hash((self.destination, self.d_1hop, self.sector_count))
-
 
 def ring_index(pos: Position, dest: Position, d_1hop: float) -> int:
     """Ring 0 is the destination itself; otherwise ceil(distance / d_1hop)."""

@@ -16,7 +16,7 @@ from typing import Any, Dict, Optional, Type
 
 from .attacks import AttackProfile
 from .bfo import BfoConfig
-from .ledger import ChainCostModel
+from .ledger import ChainCostModel, append_delay
 from .network import EnergyModel, NetworkConfig
 from .seeding import mix64
 
@@ -51,6 +51,19 @@ class ScenarioConfig:
             raise ValueError("miner_refresh_period must be >= 1")
         if self.trust_window is not None and self.trust_window < 1:
             raise ValueError("trust_window must be >= 1 when set")
+        # Worst-case run totals must fit a float; a ConfigError, as sweep builds cells here.
+        net = self.network
+        try:  # an int too large for a float raises; float arithmetic goes to inf
+            hop = net.per_hop_delay_ms()
+            clock = self.comm_count * ((net.node_count + self.attack.sybil_identity_count) * hop
+                                       + append_delay(max(self.comm_count, 1), self.cost_model))
+            bits = self.comm_count * net.packets_per_comm * net.packet_size
+            finite = all(map(math.isfinite, (hop, clock, net.node_count * net.initial_energy_mj,
+                                             bits)))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("per-hop delay, clock, total energy or bits sent can overflow")
 
     def reseeded(self, seed: int) -> "ScenarioConfig":
         """Copy with all RNG streams re-derived from one master seed."""

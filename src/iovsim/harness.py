@@ -45,7 +45,7 @@ class Event:
     def as_json(self) -> str:
         payload = {"time_ms": self.time_ms, "seq": self.seq, "kind": self.kind}
         payload.update(self.data)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
 
 
 class EventLog:

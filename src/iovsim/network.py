@@ -18,9 +18,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .trust import TrustState
 
-LITERAL = "literal"
-INVERTED = "inverted"
-
 TX = "tx"
 RX = "rx"
 SLEEP = "sleep"
@@ -119,7 +116,6 @@ class NetworkConfig:
     area_side: float = 2500.0
     radio_range: float = 550.0
     sector_count: int = 8
-    inequality_mode: str = INVERTED
     queue_capacity: int = 25
     packet_size: int = 512
     packets_per_comm: int = 20
@@ -140,8 +136,6 @@ class NetworkConfig:
             raise ValueError("radio_range must be positive")
         if self.sector_count < 1:
             raise ValueError("sector_count must be >= 1")
-        if self.inequality_mode not in (LITERAL, INVERTED):
-            raise ValueError(f"inequality_mode must be {LITERAL!r} or {INVERTED!r}")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.packet_size < 1:

@@ -7,7 +7,9 @@ favors long strides toward well-trusted relays (the argmax direction is
 kept behind a flag for sensitivity runs). Cluster structure constrains
 who is a candidate: hops never climb to a higher ring, and when a
 strictly lower ring is reachable it is always preferred, so the ring
-sequence of a delivered route is non-increasing.
+sequence of a delivered route is non-increasing. The fan is centred on
+the destination, so no forwarding node shares its cluster: ring 0 is the
+destination's position, and a node in radio range of it delivers directly.
 
 Trust bootstraps at zero, where the score is undefined (1/0). Ranking
 therefore works on the score's denominator: a zero denominator is an
@@ -53,69 +55,37 @@ def _pick(current: Node, candidates: List[Node], rtl_argmax: bool) -> Node:
     return min(candidates, key=lambda n: (-_denominator(current, n), n.id))
 
 
-def candidates_same_cluster(current: Node, dest: Node, members: List[Node],
-                            mode: str, radio_range: float) -> List[Node]:
-    """Intra-cluster candidate filter.
-
-    literal mode keeps members farther than the current-destination
-    separation from both endpoints; inverted mode keeps members closer
-    than it to both, i.e. inside the lens between them. Either way the
-    member must be radio-reachable from the current node.
-    """
-    ref = distance(current.pos, dest.pos)
-    out = []
-    for m in members:
-        if m.id in (current.id, dest.id) or not m.alive:
-            continue
-        if distance(current.pos, m.pos) > radio_range:
-            continue
-        d_cur, d_dst = distance(current.pos, m.pos), distance(dest.pos, m.pos)
-        if mode == "literal":
-            keep = d_cur > ref and d_dst > ref
-        else:
-            keep = d_cur < ref and d_dst < ref
-        if keep:
-            out.append(m)
-    return out
-
-
 def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
-             nodes: Dict[int, Node], mode: str, radio_range: float,
+             nodes: Dict[int, Node], radio_range: float,
              rtl_argmax: bool = False,
              exclude: FrozenSet[int] = frozenset(), *,
              neighbours: Optional[Mapping[int, Sequence[int]]] = None) -> Optional[int]:
     """One forwarding decision; None when the node is stuck.
 
-    Direct delivery wins when the destination is in range. Otherwise
-    candidates in a strictly nearer ring are preferred; same-ring
-    (lateral) moves are allowed only when no nearer ring is reachable,
-    and no candidate in a farther ring is ever considered. Among the
-    lowest reachable ring, the sector is chosen as nearest_cluster does.
+    `assignment` must be centred on `dest`. Direct delivery wins when the
+    destination is in range. Otherwise a strictly nearer ring is preferred;
+    same-ring (lateral) moves are allowed only when no nearer ring is
+    reachable, and a farther ring is never considered. In the lowest
+    reachable ring the sector is chosen as nearest_cluster does.
 
     `neighbours` (see network.neighbour_index) narrows the scan to the
     current node's radio neighbours; without it every node is scanned.
     """
     if current.id == dest.id:
         raise ValueError("already at destination")
+    amap = assignment.by_node
+    if assignment.destination != dest.id or current.id not in amap:
+        raise ValueError("the cluster assignment must be centred on dest and hold current")
     if distance(current.pos, dest.pos) <= radio_range:
         return dest.id
-    amap = assignment.by_node
-    cur_cid = amap.get(current.id)
-    dest_cid = amap.get(dest.id)
-    if cur_cid is None or dest_cid is None:
-        raise ValueError("current and destination must be in the cluster assignment")
     scan = nodes if neighbours is None else neighbours[current.id]
     pool = (
         n for nid in scan
         if nid not in exclude and nid != current.id and nid != dest.id
         and (n := nodes[nid]).alive and distance(current.pos, n.pos) <= radio_range
     )
-    if cur_cid == dest_cid:
-        cands = candidates_same_cluster(
-            current, dest, [n for n in pool if amap.get(n.id) == cur_cid], mode, radio_range)
-    else:
-        toward = polar_angle(current.pos, around=dest.pos)
-        cands = amap.nearest_members(pool, toward, cur_cid.ring)
+    toward = polar_angle(current.pos, around=dest.pos)
+    cands = amap.nearest_members(pool, toward, amap[current.id].ring)
     if not cands:
         return None
     return _pick(current, cands, rtl_argmax).id
@@ -164,9 +134,8 @@ def route(src_id: int, dest_id: int, assignment: ClusterAssignment,
         if len(trace.hops) - 1 >= hop_budget:
             trace.reason = HOP_LIMIT
             return trace
-        nxt = next_hop(current, dest, assignment, nodes, cfg.inequality_mode,
-                       cfg.radio_range, cfg.rtl_argmax, exclude=frozenset(visited),
-                       neighbours=neighbours)
+        nxt = next_hop(current, dest, assignment, nodes, cfg.radio_range, cfg.rtl_argmax,
+                       exclude=frozenset(visited), neighbours=neighbours)
         if nxt is None:
             trace.reason = NO_CANDIDATE
             return trace

@@ -105,9 +105,6 @@ class TrustState:
             del self._qualities[0:excess]
         self._q_sum = sum(self._qualities)
 
-    def quality_sum(self) -> float:
-        return self._q_sum
-
     def score(self, residual_energy: float) -> float:
         if not self.records:
             return 0.0

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iovsim
 from iovsim.cli import _parse_comms, _parse_seeds, main
 from iovsim.config import ConfigError
 
@@ -173,7 +178,13 @@ MALFORMED_SCENARIOS = [
     '{"network": {"node_count": 10.5}}',
     '{"network": {"rng_seed": "x"}}',
     '{"network": {"rtl_argmax": 1}}',
-    '{"network": {"inequality_mode": null}}',
+    '{"network": {"sector_count": null}}',
+    '{"network": {"inequality_mode": "inverted"}}',
+    # well typed, but a worst-case total overflows: clock, energy, bits sent
+    '{"cost_model": {"dr": 1e308, "dv": 1e308}, "comm_count": 5}',
+    '{"network": {"processing_delay_ms": 1e308}, "comm_count": 5}',
+    '{"network": {"initial_energy_mj": 1e308}, "comm_count": 5}',
+    '{"network": {"packet_size": %d}, "comm_count": 5}' % 10 ** 307,
     '{"bfo": {"lb": false}}',
     '{"trust_window": 3.0}',
     '{"miner_fraction": null}',
@@ -189,6 +200,39 @@ def test_malformed_scenario_exit_2_without_output(text, tmp_path, capsys):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists() and not trace.exists()
+
+
+def test_overflowing_sweep_cell_exit_2_without_output(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"cost_model": {"dr": 1e305}, "comm_count": 5}))
+    out = tmp_path / "o.csv"
+    code = main(["sweep", "--config", str(cfg), "--comms", "5,200",
+                 "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_is_byte_identical_across_hash_seeds(tmp_path):
+    # Two interpreters with different string-hash seeds, so any set or dict
+    # order that leaks into the run would show. The child imports the
+    # package under test, as criterion 9's sweep does.
+    src_dir = str(Path(iovsim.__file__).resolve().parent.parent)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"comm_count": 80, "network": {"node_count": 60},
+                               "bfo": {"nb": 6, "ni": 5}}))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+        out, trace = tmp_path / f"o{hash_seed}.csv", tmp_path / f"t{hash_seed}.jsonl"
+        proc = subprocess.run([sys.executable, "-m", "iovsim", "run", "--config", str(cfg),
+                               "--seed", "3", "--attack", "on", "--out", str(out),
+                               "--trace", str(trace)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert b'"attack": "sybil"' in outputs[0][1]
 
 
 def test_unwritable_output_is_exit_1(scenario_file, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -109,7 +111,7 @@ def test_invalid_values_surface_as_config_errors():
     ({"bfo": {"nb": False}}, "bfo.nb"),
     ({"network": {"rng_seed": "x"}}, "network.rng_seed"),
     ({"sidechain_enabled": 0}, "sidechain_enabled"),
-    ({"network": {"inequality_mode": 1}}, "network.inequality_mode"),
+    ({"network": {"sector_count": "8"}}, "network.sector_count"),
     ({"attack": {"mix": {"sybil": "1"}}}, "attack.mix"),
     ({"attack": {"mix": ["sybil"]}}, "attack.mix"),
     ({"trust_window": 2.5}, "trust_window"),
@@ -138,6 +140,30 @@ def test_nan_fails_the_sign_checks_through_the_api(build):
     # the JSON path rejects NaN by type; built in Python it must still fail
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScenarioConfig(network=NetworkConfig(link_rate_bps=1e-306)),
+    lambda: ScenarioConfig(network=NetworkConfig(processing_delay_ms=1e308)),
+    lambda: ScenarioConfig(cost_model=ChainCostModel(dr=1e308, dv=1e308)),
+    lambda: ScenarioConfig(network=NetworkConfig(node_count=3, initial_energy_mj=1e308)),
+    lambda: ScenarioConfig(network=NetworkConfig(packets_per_comm=10 ** 300,
+                                                 packet_size=10 ** 10)),
+], ids=["per-hop", "clock-processing", "clock-append", "energy", "bits"])
+def test_overflowing_totals_rejected_through_the_api(build):
+    with pytest.raises(ValueError, match="overflow"):
+        build()
+
+
+def test_overflow_bound_covers_sweep_cells_and_sybil_identities():
+    cfg = ScenarioConfig(cost_model=ChainCostModel(dr=1e300), comm_count=5)
+    with pytest.raises(ConfigError, match="overflow"):
+        replace(cfg, comm_count=10 ** 9)  # as sweep builds its cells
+    # one comm of 100 nodes plus the phantoms, each hop max / 106 ms
+    edge = NetworkConfig(processing_delay_ms=sys.float_info.max / 106)
+    ScenarioConfig(network=edge, comm_count=1, attack=AttackProfile(sybil_identity_count=5))
+    with pytest.raises(ConfigError, match="overflow"):
+        ScenarioConfig(network=edge, comm_count=1, attack=AttackProfile(sybil_identity_count=7))
 
 
 def test_typed_values_accepted():

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from iovsim.harness import (
     simulate,
     sweep,
 )
-from iovsim.ledger import verify
+from iovsim.ledger import ChainCostModel, verify
 from iovsim.network import NetworkConfig, PacketQueue
 from iovsim.trust import TrustState
 
@@ -53,6 +54,29 @@ def test_event_log_orders_and_guards():
         log.append("d", 2.0)
     parsed = json.loads(log.events[2].as_json())
     assert parsed == {"time_ms": 2.5, "seq": 2, "kind": "c", "y": "z"}
+
+
+def test_event_json_refuses_non_finite_values():
+    log = EventLog()
+    log.append("a", 0.0, x=float("nan"))
+    log.append("b", float("inf"))
+    for event in log.events:
+        with pytest.raises(ValueError):
+            event.as_json()
+
+
+def test_costs_near_the_overflow_bound_keep_outputs_finite(tmp_path):
+    # a quarter of the largest append cost the 20-comm clock bound admits
+    cost = ChainCostModel(dr=sys.float_info.max / 20 / 20 / 4, dv=0.0)
+    cfg = small_scenario(comms=20, cost_model=cost).with_attacks(True)
+    csv_path, trace = tmp_path / "o.csv", tmp_path / "t.jsonl"
+    report = run_scenario(cfg, trace_path=str(trace))
+    emit_csv([report], str(csv_path))
+    row = next(csv.DictReader(csv_path.open()))
+    assert all(math.isfinite(float(row[k])) for k in CSV_HEADER.split(",")[2:])
+    assert report.avg_delay_ms > 1e300
+    times = [json.loads(line)["time_ms"] for line in trace.read_text().splitlines()]
+    assert all(math.isfinite(t) for t in times)
 
 
 def test_event_log_writes_jsonl(tmp_path):

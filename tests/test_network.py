@@ -179,8 +179,6 @@ def test_network_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(sector_count=0)
     with pytest.raises(ValueError):
-        NetworkConfig(inequality_mode="sideways")
-    with pytest.raises(ValueError):
         NetworkConfig(packet_size=0)
     with pytest.raises(ValueError):
         NetworkConfig(link_rate_bps=0)

@@ -13,7 +13,6 @@ from iovsim.routing import (
     NO_CANDIDATE,
     RouteTrace,
     _pick,
-    candidates_same_cluster,
     next_hop,
     relative_trust,
     route,
@@ -54,51 +53,18 @@ def test_relative_trust_undefined_cases():
         relative_trust(c, d)
 
 
-def test_same_cluster_filter_inverted_keeps_lens_interior():
-    cur = node_with_tl(0, Position(0.0, 0.0), 1.0)
-    dst = node_with_tl(1, Position(100.0, 0.0), 1.0)
-    inside = node_with_tl(2, Position(50.0, 10.0), 1.0)
-    outside = node_with_tl(3, Position(-50.0, 10.0), 1.0)
-    mixed = node_with_tl(4, Position(120.0, 0.0), 1.0)
-    members = [cur, dst, inside, outside, mixed]
-    got = candidates_same_cluster(cur, dst, members, "inverted", radio_range=200.0)
-    assert [n.id for n in got] == [2]
-
-
-def test_same_cluster_filter_literal_keeps_far_side():
-    cur = node_with_tl(0, Position(0.0, 0.0), 1.0)
-    dst = node_with_tl(1, Position(100.0, 0.0), 1.0)
-    inside = node_with_tl(2, Position(50.0, 10.0), 1.0)
-    far_both = node_with_tl(3, Position(-120.0, 30.0), 1.0)
-    members = [cur, dst, inside, far_both]
-    got = candidates_same_cluster(cur, dst, members, "literal", radio_range=200.0)
-    assert [n.id for n in got] == [3]
-
-
-def test_same_cluster_filter_respects_range_and_liveness():
-    cur = node_with_tl(0, Position(0.0, 0.0), 1.0)
-    dst = node_with_tl(1, Position(100.0, 0.0), 1.0)
-    inside = node_with_tl(2, Position(50.0, 10.0), 1.0)
-    dead = node_with_tl(3, Position(55.0, 5.0), 1.0)
-    dead.residual_energy = 0.0
-    got = candidates_same_cluster(cur, dst, [inside, dead], "inverted", radio_range=30.0)
-    assert got == []  # inside is beyond the 30 m radio, dead is dead
-    got = candidates_same_cluster(cur, dst, [inside, dead], "inverted", radio_range=60.0)
-    assert [n.id for n in got] == [2]
-
-
 def test_next_hop_direct_delivery_wins():
     nodes = chain_nodes()
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    got = next_hop(nodes[1], nodes[0], assignment, nodes, "inverted", R)
+    got = next_hop(nodes[1], nodes[0], assignment, nodes, R)
     assert got == 0
 
 
 def test_next_hop_descends_one_ring_on_a_chain():
     nodes = chain_nodes()
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(nodes[4], nodes[0], assignment, nodes, "inverted", R) == 3
-    assert next_hop(nodes[3], nodes[0], assignment, nodes, "inverted", R) == 2
+    assert next_hop(nodes[4], nodes[0], assignment, nodes, R) == 3
+    assert next_hop(nodes[3], nodes[0], assignment, nodes, R) == 2
 
 
 def test_next_hop_prefers_lower_ring_over_lateral():
@@ -108,7 +74,7 @@ def test_next_hop_prefers_lower_ring_over_lateral():
     lateral = node_with_tl(3, Position(60.0, 240.0), 9.0)  # ring 3, in range
     nodes = {n.id: n for n in (dest, cur, lower, lateral)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) == 2
+    assert next_hop(cur, dest, assignment, nodes, R) == 2
 
 
 def test_next_hop_lateral_only_as_fallback():
@@ -118,11 +84,11 @@ def test_next_hop_lateral_only_as_fallback():
     nodes = {n.id: n for n in (dest, cur, lateral)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
     # no lower ring and no reachable peer: stuck
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) is None
+    assert next_hop(cur, dest, assignment, nodes, R) is None
     near_lateral = node_with_tl(3, Position(-60.0, 240.0), 1.0)  # ring 3, in range
     nodes[3] = near_lateral
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) == 3
+    assert next_hop(cur, dest, assignment, nodes, R) == 3
 
 
 def test_next_hop_never_climbs():
@@ -131,7 +97,7 @@ def test_next_hop_never_climbs():
     higher = node_with_tl(2, Position(0.0, 230.0), 5.0)  # ring 3, in range
     nodes = {n.id: n for n in (dest, cur, higher)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) is None
+    assert next_hop(cur, dest, assignment, nodes, R) is None
 
 
 def test_next_hop_ranking_prefers_long_stride():
@@ -143,8 +109,8 @@ def test_next_hop_ranking_prefers_long_stride():
     near = node_with_tl(3, Position(-30.0, 170.0), 1.0)  # 85.4 m stride
     nodes = {n.id: n for n in (dest, cur, far, near)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) == 2
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R, rtl_argmax=True) == 3
+    assert next_hop(cur, dest, assignment, nodes, R) == 2
+    assert next_hop(cur, dest, assignment, nodes, R, rtl_argmax=True) == 3
 
 
 def test_next_hop_zero_trust_falls_back_to_lowest_id():
@@ -154,7 +120,7 @@ def test_next_hop_zero_trust_falls_back_to_lowest_id():
     c_b = node_with_tl(5, Position(-10.0, 165.0), 0.0)
     nodes = {n.id: n for n in (dest, cur, c_a, c_b)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) == 5
+    assert next_hop(cur, dest, assignment, nodes, R) == 5
 
 
 def test_next_hop_degenerate_pair_ranks_after_scored_pair():
@@ -166,17 +132,17 @@ def test_next_hop_degenerate_pair_ranks_after_scored_pair():
     blank = node_with_tl(3, Position(-20.0, 163.0), 0.0)
     nodes = {n.id: n for n in (dest, cur, scored, blank)}
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    assert next_hop(cur, dest, assignment, nodes, "inverted", R) == 2
+    assert next_hop(cur, dest, assignment, nodes, R) == 2
 
 
 def test_next_hop_honors_exclusions():
     nodes = chain_nodes()
     assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
-    got = next_hop(nodes[4], nodes[0], assignment, nodes, "inverted", R,
+    got = next_hop(nodes[4], nodes[0], assignment, nodes, R,
                    exclude=frozenset({3}))
     assert got is None
     with pytest.raises(ValueError):
-        next_hop(nodes[0], nodes[0], assignment, nodes, "inverted", R)
+        next_hop(nodes[0], nodes[0], assignment, nodes, R)
 
 
 def test_route_delivers_down_the_chain():
@@ -290,19 +256,20 @@ def scored_topology(seed: int, count: int = 40, area: float = 500.0,
     return nodes, rng
 
 
-def oracle_next_hop(current, dest, assignment, nodes, mode, radio_range,
+def oracle_next_hop(current, dest, assignment, nodes, radio_range,
                     rtl_argmax=False, exclude=frozenset(), neighbours=None):
     """The cluster-by-cluster decision next_hop replaced: build every pool
     node's ClusterId, collect the reachable clusters, let nearest_cluster
     pick one, then rank its members."""
     if current.id == dest.id:
         raise ValueError("already at destination")
+    if assignment.destination != dest.id or current.id not in assignment.by_node:
+        raise ValueError("the cluster assignment must be centred on dest and hold current")
     if distance(current.pos, dest.pos) <= radio_range:
         return dest.id
     amap = assignment.by_node
-    cur_cid, dest_cid = amap.get(current.id), amap.get(dest.id)
-    if cur_cid is None or dest_cid is None:
-        raise ValueError("current and destination must be in the cluster assignment")
+    cur_cid = amap[current.id]
+    assert cur_cid != amap[dest.id]  # the fan is centred on dest
     scan = nodes if neighbours is None else neighbours[current.id]
     pool = [
         n for nid in scan
@@ -310,52 +277,36 @@ def oracle_next_hop(current, dest, assignment, nodes, mode, radio_range,
         and (n := nodes[nid]).alive and nid in amap
         and distance(current.pos, n.pos) <= radio_range
     ]
-    if cur_cid == dest_cid:
-        cands = candidates_same_cluster(
-            current, dest, [n for n in pool if amap[n.id] == cur_cid], mode, radio_range)
-    else:
-        reachable = {amap[n.id] for n in pool if amap[n.id].ring <= cur_cid.ring}
-        if not reachable:
-            return None
-        toward = polar_angle(current.pos, around=dest.pos)
-        chosen = nearest_cluster(reachable, toward, assignment.sector_count)
-        cands = [n for n in pool if amap[n.id] == chosen]
-    if not cands:
+    reachable = {amap[n.id] for n in pool if amap[n.id].ring <= cur_cid.ring}
+    if not reachable:
         return None
-    return _pick(current, cands, rtl_argmax).id
+    toward = polar_angle(current.pos, around=dest.pos)
+    chosen = nearest_cluster(reachable, toward, assignment.sector_count)
+    return _pick(current, [n for n in pool if amap[n.id] == chosen], rtl_argmax).id
 
 
-def assert_same_decisions(nodes, neighbours, rng, radio_range, assignments=None, dests=None):
+def assert_same_decisions(nodes, neighbours, rng, radio_range, assignments=None):
     """next_hop, with and without the index, agrees with oracle_next_hop for
-    every member of each assignment as the current node, in both modes and
-    both ranking directions, with random exclusions. By default each live
-    node is the destination of its own assignment; with `dests`, every
-    assignment is used to route toward each of them. Returns how many
-    decisions took the same-cluster branch."""
+    every member of each assignment as the current node and its centre as
+    the destination, in both ranking directions, with random exclusions.
+    By default each live node is the destination of its own assignment."""
     if assignments is None:
         assignments = [assign_clusters(nodes, dest, radio_range, 8)
                        for dest in sorted(nodes) if nodes[dest].alive]
-    same_cluster = moved = 0
+    moved = 0
     for assignment in assignments:
-        amap = assignment.by_node
-        for dest in [assignment.destination] if dests is None else dests:
-            if dest not in amap:
+        dest = assignment.destination
+        for cur in sorted(assignment.by_node):
+            if cur == dest:
                 continue
-            for cur in sorted(amap):
-                if cur == dest:
-                    continue
-                same_cluster += amap[cur] == amap[dest]
-                exclude = frozenset(rng.sample(sorted(nodes), rng.randint(0, 6)))
-                for mode in ("inverted", "literal"):
-                    for argmax in (False, True):
-                        args = (nodes[cur], nodes[dest], assignment, nodes, mode,
-                                radio_range, argmax, exclude)
-                        want = oracle_next_hop(*args)
-                        assert next_hop(*args) == want
-                        assert next_hop(*args, neighbours=neighbours) == want
-                        moved += want is not None
+            exclude = frozenset(rng.sample(sorted(nodes), rng.randint(0, 6)))
+            for argmax in (False, True):
+                args = (nodes[cur], nodes[dest], assignment, nodes, radio_range, argmax, exclude)
+                want = oracle_next_hop(*args)
+                assert next_hop(*args) == want
+                assert next_hop(*args, neighbours=neighbours) == want
+                moved += want is not None
     assert moved > 0
-    return same_cluster
 
 
 def test_next_hop_with_index_matches_full_scan():
@@ -408,17 +359,41 @@ def test_next_hop_with_sybil_overlay_matches_full_scan():
 
 @pytest.mark.parametrize("d_1hop,sector_count", [(150.0, 8), (300.0, 3), (450.0, 1)])
 def test_next_hop_matches_oracle_for_an_assignment_around_another_node(d_1hop, sector_count):
-    # with the assignment centred elsewhere, current and dest can share a
-    # cluster, which takes the same-cluster branch
-    same_cluster = 0
+    # an assignment serves only the node it is centred on: toward any other
+    # destination next_hop and the oracle both refuse it, and toward its
+    # centre they agree at every ring width and sector count
     for seed in range(22, 24):
         nodes, rng = scored_topology(seed)
         index = neighbour_index(nodes, 150.0)
         assignments = [assign_clusters(nodes, c, d_1hop, sector_count)
                        for c in rng.sample(sorted(nodes), 2)]
-        same_cluster += assert_same_decisions(nodes, index, rng, 150.0, assignments,
-                                              dests=rng.sample(sorted(nodes), 20))
-    assert same_cluster > 0
+        for assignment in assignments:
+            for dest in rng.sample(sorted(nodes), 20):
+                if dest == assignment.destination:
+                    continue
+                for cur in sorted(assignment.by_node):
+                    if cur == dest:
+                        continue
+                    args = (nodes[cur], nodes[dest], assignment, nodes, 150.0)
+                    for decide in (oracle_next_hop, next_hop):
+                        with pytest.raises(ValueError, match="centred on dest"):
+                            decide(*args)
+                    with pytest.raises(ValueError, match="centred on dest"):
+                        next_hop(*args, neighbours=index)
+        assert_same_decisions(nodes, index, rng, 150.0, assignments)
+
+
+def test_next_hop_rejects_an_assignment_centred_elsewhere():
+    nodes = chain_nodes()
+    assignment = assign_clusters(nodes, dest_id=1, d_1hop=R, sector_count=4)
+    for cur in (2, 4):  # in range of the destination, and not
+        with pytest.raises(ValueError, match="centred on dest"):
+            next_hop(nodes[cur], nodes[0], assignment, nodes, R)
+    assert next_hop(nodes[2], nodes[1], assignment, nodes, R) == 1
+    nodes[3].residual_energy = 0.0  # so not a member of the next assignment
+    assignment = assign_clusters(nodes, dest_id=0, d_1hop=R, sector_count=4)
+    with pytest.raises(ValueError, match="hold current"):
+        next_hop(nodes[3], nodes[0], assignment, nodes, R)
 
 
 def test_phantoms_reach_the_owner_range_only():
