@@ -5,15 +5,16 @@ Clusters are concentric rings around the destination, one radio range
 how many one-hop strides separate a node from the destination, so the
 ring sequence along a good route counts down to zero.
 
-An assignment computes a node's cluster on first lookup, and picks a
-forwarding cluster in one pass over the candidates (nearest_members), so
-a communication pays only for the nodes routing actually looks at.
+An assignment computes a node's ring and sector on first use and keeps
+them, and picks a forwarding cluster in one pass over the candidates
+(nearest_members), so a communication pays once for each node routing
+actually looks at.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List
 
 from .network import Node, Position, distance, polar_angle
 
@@ -28,7 +29,8 @@ class ClusterId:
 
 class LazyClusters(Mapping):
     """Read-only map from each node live at assignment time to its
-    ClusterId, computed on first lookup and kept for this assignment."""
+    ClusterId. Rings and sectors are computed on first use and kept, in
+    separate memos, for this assignment's lifetime."""
 
     def __init__(self, live: Mapping[int, Position], dest: Position, d_1hop: float,
                  sector_count: int):
@@ -36,17 +38,25 @@ class LazyClusters(Mapping):
         self._dest = dest
         self._d_1hop = d_1hop
         self._sector_count = sector_count
-        self._memo: Dict[int, ClusterId] = {}
+        self._rings: Dict[int, int] = {}
+        self._sectors: Dict[int, int] = {}
 
     def __getitem__(self, nid: int) -> ClusterId:
-        cid = self._memo.get(nid)
-        if cid is None:
-            pos = self._live[nid]
-            cid = self._memo[nid] = ClusterId(
-                ring=ring_index(pos, self._dest, self._d_1hop),
-                sector=sector_index(pos, self._dest, self._sector_count),
-            )
-        return cid
+        pos = self._live[nid]
+        return ClusterId(ring=self.ring_of(nid), sector=self._sector_of(nid, pos))
+
+    def ring_of(self, nid: int) -> int:
+        """The member's ring, without computing its sector."""
+        ring = self._rings.get(nid)
+        if ring is None:
+            ring = self._rings[nid] = ring_index(self._live[nid], self._dest, self._d_1hop)
+        return ring
+
+    def _sector_of(self, nid: int, pos: Position) -> int:
+        sector = self._sectors.get(nid)
+        if sector is None:
+            sector = self._sectors[nid] = sector_index(pos, self._dest, self._sector_count)
+        return sector
 
     def __contains__(self, nid) -> bool:
         return nid in self._live
@@ -57,33 +67,45 @@ class LazyClusters(Mapping):
     def __len__(self) -> int:
         return len(self._live)
 
-    def nearest_members(self, pool: Iterable[Node], toward: float,
-                        max_ring: int) -> List[Node]:
+    def nearest_members(self, pool: Iterable[Node], at: Position, max_ring: int) -> List[Node]:
         """The nodes of the cluster nearest_cluster would pick among the
-        clusters of `pool` at or below `max_ring`, in one pass.
+        clusters of `pool` at or below `max_ring`, in one pass; `at` is the
+        forwarding node's position, whose bearing from the destination
+        breaks ring ties between sectors.
 
         Nodes not in this map are skipped. Rings use ring_index's
         arithmetic; sectors are computed only for the lowest ring found,
-        and no ClusterId is built.
+        the bearing only when that ring spans more than one sector, and
+        no ClusterId is built.
         """
-        live, dest, d_1hop = self._live, self._dest, self._d_1hop
+        live, rings = self._live, self._rings
+        dest, d_1hop = self._dest, self._d_1hop
+        ceil, hypot = math.ceil, math.hypot
+        dx, dy = dest.x, dest.y
         best = max_ring
-        group: List[Tuple[Node, Position]] = []
+        group: List[Node] = []
         for n in pool:
-            pos = live.get(n.id)
-            if pos is None:
-                continue
-            ring = ring_index(pos, dest, d_1hop)
+            nid = n.id
+            ring = rings.get(nid)  # only members are ever memoised
+            if ring is None:
+                pos = live.get(nid)
+                if pos is None:
+                    continue
+                d = hypot(pos.x - dx, pos.y - dy)
+                ring = rings[nid] = 0 if d == 0.0 else ceil(d / d_1hop)
             if ring < best:
                 best = ring
-                group = [(n, pos)]
+                group = [n]
             elif ring == best:
-                group.append((n, pos))
-        if not group:
-            return []
-        sectors = [sector_index(pos, dest, self._sector_count) for _, pos in group]
-        chosen = _nearest_sector(set(sectors), toward, self._sector_count)
-        return [n for (n, _), s in zip(group, sectors) if s == chosen]
+                group.append(n)
+        if len(group) < 2 or self._sector_count == 1:
+            return group
+        sectors = [self._sector_of(n.id, live[n.id]) for n in group]
+        spanned = set(sectors)
+        if len(spanned) == 1:
+            return group
+        chosen = _nearest_sector(spanned, polar_angle(at, around=dest), self._sector_count)
+        return [n for n, s in zip(group, sectors) if s == chosen]
 
     def __repr__(self) -> str:
         return f"LazyClusters({dict(self)!r})"

@@ -14,6 +14,7 @@ import math
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import chain, combinations, product
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .trust import TrustState
@@ -209,21 +210,21 @@ def neighbour_index(nodes: Mapping[int, Node], radio_range: float) -> Dict[int, 
     """
     side = radio_range * _CELL_SLACK
     cells: Dict[Tuple[int, int], List[Node]] = defaultdict(list)
-    cell_of = {}
     for n in nodes.values():
-        cell = cell_of[n.id] = (math.floor(n.pos.x / side), math.floor(n.pos.y / side))
-        cells[cell].append(n)
-    index = {}
-    for n in nodes.values():
-        cx, cy = cell_of[n.id]
-        index[n.id] = tuple(sorted(
-            m.id
-            for gx in (cx - 1, cx, cx + 1)
-            for gy in (cy - 1, cy, cy + 1)
-            for m in cells.get((gx, gy), ())
-            if m.id != n.id and distance(n.pos, m.pos) <= radio_range
-        ))
-    return index
+        cells[(math.floor(n.pos.x / side), math.floor(n.pos.y / side))].append(n)
+    found: Dict[int, List[int]] = {n.id: [] for n in nodes.values()}
+    for (cx, cy), here in cells.items():
+        # Each pair once: within the cell, then with the four cells ahead
+        # of it (the other four see this cell as one of theirs). hypot
+        # takes absolute values, so a distance is the same from either end.
+        ahead = ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+        pairs = [combinations(here, 2)]
+        pairs += (product(here, cells[c]) for c in ahead if c in cells)
+        for a, b in chain.from_iterable(pairs):
+            if distance(a.pos, b.pos) <= radio_range:
+                found[a.id].append(b.id)
+                found[b.id].append(a.id)
+    return {nid: tuple(sorted(ids)) for nid, ids in found.items()}
 
 
 class EnergyLedger:

@@ -19,10 +19,10 @@ fall back to the lowest node id.
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence
 
 from .clustering import ClusterAssignment
-from .network import EnergyLedger, NetworkConfig, Node, RX, TX, distance, polar_angle
+from .network import EnergyLedger, NetworkConfig, Node, RX, TX, distance
 
 DELIVERED = "delivered"
 NO_CANDIDATE = "no-candidate"
@@ -43,22 +43,27 @@ def relative_trust(a: Node, b: Node) -> float:
     return 1.0 / (d * norm)
 
 
-def _denominator(a: Node, b: Node) -> float:
-    return distance(a.pos, b.pos) * math.hypot(a.trust_score(), b.trust_score())
-
-
 def _pick(current: Node, candidates: List[Node], rtl_argmax: bool) -> Node:
-    # Min relative trust == max denominator. Zero denominators sort as
-    # infinite scores; id breaks ties either way.
-    if rtl_argmax:
-        return min(candidates, key=lambda n: (_denominator(current, n), n.id))
-    return min(candidates, key=lambda n: (-_denominator(current, n), n.id))
+    # Min relative trust == max denominator, distance * hypot(trust, trust).
+    # Zero denominators sort as infinite scores; id breaks ties either way.
+    if len(candidates) == 1:
+        return candidates[0]
+    hypot = math.hypot
+    at, tl = current.pos, current.trust_score()
+    cx, cy = at.x, at.y
+    sign = 1.0 if rtl_argmax else -1.0
+
+    def key(n: Node):
+        pos = n.pos
+        return sign * (hypot(cx - pos.x, cy - pos.y) * hypot(tl, n.trust_score())), n.id
+
+    return min(candidates, key=key)
 
 
 def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
              nodes: Dict[int, Node], radio_range: float,
              rtl_argmax: bool = False,
-             exclude: FrozenSet[int] = frozenset(), *,
+             exclude: AbstractSet[int] = frozenset(), *,
              neighbours: Optional[Mapping[int, Sequence[int]]] = None) -> Optional[int]:
     """One forwarding decision; None when the node is stuck.
 
@@ -67,25 +72,35 @@ def next_hop(current: Node, dest: Node, assignment: ClusterAssignment,
     same-ring (lateral) moves are allowed only when no nearer ring is
     reachable, and a farther ring is never considered. In the lowest
     reachable ring the sector is chosen as nearest_cluster does.
+    `exclude` is only read.
 
-    `neighbours` (see network.neighbour_index) narrows the scan to the
-    current node's radio neighbours; without it every node is scanned.
+    `neighbours` narrows the scan to the current node's radio neighbours;
+    without it every node is scanned. It must be a radio index, as
+    network.neighbour_index builds (or attacks.phantom_neighbours
+    overlays): under each id, every id within radio_range of it except
+    itself. Its ids are trusted, not checked against the range again.
     """
     if current.id == dest.id:
         raise ValueError("already at destination")
     amap = assignment.by_node
     if assignment.destination != dest.id or current.id not in amap:
         raise ValueError("the cluster assignment must be centred on dest and hold current")
-    if distance(current.pos, dest.pos) <= radio_range:
+    at = current.pos
+    if distance(at, dest.pos) <= radio_range:
         return dest.id
-    scan = nodes if neighbours is None else neighbours[current.id]
-    pool = (
-        n for nid in scan
-        if nid not in exclude and nid != current.id and nid != dest.id
-        and (n := nodes[nid]).alive and distance(current.pos, n.pos) <= radio_range
-    )
-    toward = polar_angle(current.pos, around=dest.pos)
-    cands = amap.nearest_members(pool, toward, amap[current.id].ring)
+    if neighbours is None:
+        pool = (
+            n for nid in nodes
+            if nid not in exclude and nid != current.id and nid != dest.id
+            and (n := nodes[nid]).alive and distance(at, n.pos) <= radio_range
+        )
+    else:
+        # the destination is out of range, so the index never lists it
+        pool = (
+            n for nid in neighbours[current.id]
+            if nid not in exclude and (n := nodes[nid]).alive
+        )
+    cands = amap.nearest_members(pool, at, amap.ring_of(current.id))
     if not cands:
         return None
     return _pick(current, cands, rtl_argmax).id
@@ -135,7 +150,7 @@ def route(src_id: int, dest_id: int, assignment: ClusterAssignment,
             trace.reason = HOP_LIMIT
             return trace
         nxt = next_hop(current, dest, assignment, nodes, cfg.radio_range, cfg.rtl_argmax,
-                       exclude=frozenset(visited), neighbours=neighbours)
+                       exclude=visited, neighbours=neighbours)
         if nxt is None:
             trace.reason = NO_CANDIDATE
             return trace

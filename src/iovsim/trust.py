@@ -7,6 +7,7 @@ identities out of miner selection: they can claim a score while
 advertising themselves, but they cannot present records to back it.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -120,6 +121,5 @@ def select_miners(nodes: Sequence, k: int) -> List:
     live = [n for n in nodes if n.alive]
     if not 1 <= k <= len(live):
         raise ValueError(f"k={k} outside [1, {len(live)}]")
-    ranked = sorted(live, key=lambda n: (-n.trust_score(), n.id))
-    return ranked[:k]
+    return heapq.nsmallest(k, live, key=lambda n: (-n.trust_score(), n.id))
 

@@ -11,7 +11,7 @@ from iovsim.clustering import (
     sector_index,
     sector_midline,
 )
-from iovsim.network import Node, PacketQueue, Position
+from iovsim.network import Node, PacketQueue, Position, polar_angle
 
 
 def _node(nid, x, y, energy=10.0):
@@ -143,6 +143,55 @@ def test_lazy_assignment_keys_are_the_nodes_live_at_the_call():
     assert dict(by_node) == want
     with pytest.raises(TypeError):
         by_node[6] = ClusterId(0, 0)
+
+
+def brute_nearest_members(pool, want, at, dest, max_ring, sector_count):
+    """nearest_members by nearest_cluster over every member's eager ClusterId."""
+    members = [n for n in pool if n.id in want and want[n.id].ring <= max_ring]
+    if not members:
+        return []
+    chosen = nearest_cluster([want[n.id] for n in members], polar_angle(at, around=dest),
+                             sector_count)
+    return [n for n in members if want[n.id] == chosen]
+
+
+@pytest.mark.parametrize("d_1hop,sector_count", [(150.0, 8), (300.0, 3), (450.0, 1)])
+def test_memos_hold_one_assignment_and_only_its_members(d_1hop, sector_count):
+    # several assignments over the same positions, each queried through
+    # nearest_members with pools that hold non-members (dead at the call,
+    # revived after it); every answer and every later lookup must match
+    # ring_index and sector_index for that assignment alone
+    rng = random.Random(14)
+    nodes = {i: _node(i, rng.uniform(0, 900), rng.uniform(0, 900)) for i in range(60)}
+    dead = rng.sample(range(60), 10)
+    for nid in dead:
+        nodes[nid].residual_energy = 0.0
+    assignments = [assign_clusters(nodes, dest, d_1hop, sector_count)
+                   for dest in rng.sample([i for i in range(60) if nodes[i].alive], 6)]
+    for nid in dead:
+        nodes[nid].residual_energy = 10.0
+    picked = 0
+    for assignment in assignments:
+        amap = assignment.by_node
+        dest = nodes[assignment.destination].pos
+        want = eager_oracle(nodes, assignment.destination, d_1hop, sector_count)
+        for nid in dead:
+            want.pop(nid)
+        for cur in sorted(want):
+            if cur == assignment.destination:
+                continue
+            at = nodes[cur].pos
+            pool = [n for n in nodes.values() if n.id not in (cur, assignment.destination)
+                    and math.dist((at.x, at.y), (n.pos.x, n.pos.y)) <= 150.0]
+            got = amap.nearest_members(pool, at, amap.ring_of(cur))
+            assert got == brute_nearest_members(pool, want, at, dest, want[cur].ring,
+                                                sector_count)
+            picked += len(got)
+        for nid in rng.sample(sorted(want), len(want)):
+            assert amap.ring_of(nid) == want[nid].ring
+            assert amap[nid] == want[nid]
+        assert all(nid not in amap and amap.get(nid) is None for nid in dead)
+    assert picked > 0
 
 
 @pytest.mark.parametrize("d_1hop,sector_count", [

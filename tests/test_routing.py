@@ -1,18 +1,19 @@
+import math
 import random
 from collections import ChainMap
 
 import pytest
 
 from iovsim.attacks import make_phantoms, phantom_neighbours
-from iovsim.clustering import assign_clusters, assign_positions, nearest_cluster
-from iovsim.network import (EnergyLedger, NetworkConfig, Position, distance, neighbour_index,
-                            polar_angle)
+from iovsim.clustering import (ClusterId, assign_clusters, assign_positions, nearest_cluster,
+                               ring_index, sector_index)
+from iovsim.network import (RX, TX, EnergyLedger, NetworkConfig, Position, distance,
+                            neighbour_index, polar_angle)
 from iovsim.routing import (
     DELIVERED,
     ENERGY_EXHAUSTED,
     NO_CANDIDATE,
     RouteTrace,
-    _pick,
     next_hop,
     relative_trust,
     route,
@@ -260,29 +261,42 @@ def oracle_next_hop(current, dest, assignment, nodes, radio_range,
                     rtl_argmax=False, exclude=frozenset(), neighbours=None):
     """The cluster-by-cluster decision next_hop replaced: build every pool
     node's ClusterId, collect the reachable clusters, let nearest_cluster
-    pick one, then rank its members."""
+    pick one, then rank its members by the score's denominator. Clusters
+    come from ring_index and sector_index, not from the assignment's
+    memos; the assignment only says who is a member."""
     if current.id == dest.id:
         raise ValueError("already at destination")
-    if assignment.destination != dest.id or current.id not in assignment.by_node:
+    amap = assignment.by_node
+    if assignment.destination != dest.id or current.id not in amap:
         raise ValueError("the cluster assignment must be centred on dest and hold current")
     if distance(current.pos, dest.pos) <= radio_range:
         return dest.id
-    amap = assignment.by_node
-    cur_cid = amap[current.id]
-    assert cur_cid != amap[dest.id]  # the fan is centred on dest
+
+    def cluster(n):
+        return ClusterId(ring_index(n.pos, dest.pos, assignment.d_1hop),
+                         sector_index(n.pos, dest.pos, assignment.sector_count))
+
+    def denominator(n):
+        return distance(current.pos, n.pos) * math.hypot(current.trust_score(), n.trust_score())
+
+    cur_cid = cluster(current)
+    assert cur_cid != cluster(dest)  # the fan is centred on dest
     scan = nodes if neighbours is None else neighbours[current.id]
-    pool = [
-        n for nid in scan
+    pool = {
+        nid: cluster(n) for nid in scan
         if nid not in exclude and nid != current.id and nid != dest.id
         and (n := nodes[nid]).alive and nid in amap
         and distance(current.pos, n.pos) <= radio_range
-    ]
-    reachable = {amap[n.id] for n in pool if amap[n.id].ring <= cur_cid.ring}
+    }
+    reachable = {cid for cid in pool.values() if cid.ring <= cur_cid.ring}
     if not reachable:
         return None
     toward = polar_angle(current.pos, around=dest.pos)
     chosen = nearest_cluster(reachable, toward, assignment.sector_count)
-    return _pick(current, [n for n in pool if amap[n.id] == chosen], rtl_argmax).id
+    cands = [nodes[nid] for nid, cid in pool.items() if cid == chosen]
+    if rtl_argmax:
+        return min(cands, key=lambda n: (denominator(n), n.id)).id
+    return min(cands, key=lambda n: (-denominator(n), n.id)).id
 
 
 def assert_same_decisions(nodes, neighbours, rng, radio_range, assignments=None):
@@ -427,3 +441,60 @@ def test_route_with_index_matches_full_scan():
                                     neighbours=index))
             runs.append((traces, ledger.total_drawn))
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("sybil", [False, True])
+def test_one_assignment_serves_a_whole_route(sybil):
+    # route's own use of an assignment: one per communication, its memos
+    # filled hop by hop while relays die, with the visited set as a live
+    # `exclude`; nodes dead at the call and revived before the walk are
+    # in the index but not members. Every decision, in both ranking
+    # directions and with and without the index, matches the oracle.
+    cfg = NetworkConfig(node_count=40, area_side=500.0, radio_range=150.0, sector_count=8)
+    decided = 0
+    for seed in range(30, 34):
+        nodes, rng = scored_topology(seed)
+        for n in nodes.values():
+            n.residual_energy = rng.uniform(0.2, 3.0)
+        route_nodes, index, aliases = nodes, neighbour_index(nodes, 150.0), {}
+        positions = {n.id: n.pos for n in nodes.values()}
+        if sybil:
+            owner = nodes[rng.choice(sorted(nodes))]
+            phantoms, aliases = make_phantoms(owner, 3, serial=seed)
+            route_nodes = {**nodes, **{p.id: p for p in phantoms}}
+            index = phantom_neighbours(index, owner.id, [p.id for p in phantoms])
+            positions = ChainMap({p.id: p.pos for p in phantoms}, positions)
+        ledger = EnergyLedger(cfg.energy_costs)
+        for _ in range(12):
+            live = sorted(nid for nid in positions if route_nodes[nid].alive)
+            if len(live) < 2:
+                break
+            src, dest = rng.sample(live, 2)
+            revived = [nid for nid in rng.sample(live, 4) if nid not in (src, dest)]
+            for nid in revived:
+                route_nodes[nid].residual_energy = 0.0
+            assignment = assign_positions(
+                {nid: positions[nid] for nid in live if route_nodes[nid].alive},
+                dest, 150.0, 8)
+            for nid in revived:
+                route_nodes[nid].residual_energy = 2.0
+            current, visited = route_nodes[src], {src}
+            while current.alive and current.id != dest:
+                seen = set(visited)
+                decision = {}
+                for argmax in (True, False):
+                    args = (current, route_nodes[dest], assignment, route_nodes, 150.0, argmax)
+                    want = oracle_next_hop(*args, exclude=frozenset(visited))
+                    assert next_hop(*args, exclude=visited, neighbours=index) == want
+                    assert next_hop(*args, exclude=visited) == want
+                    assert visited == seen  # exclude is only read
+                    decision[argmax] = want
+                decided += 1
+                nxt = decision[False]
+                if nxt is None or nxt in visited:
+                    break
+                for nid, action in ((current.id, TX), (nxt, RX)):
+                    ledger.charge(route_nodes[aliases.get(nid, nid)], action)
+                visited.add(nxt)
+                current = route_nodes[nxt]
+    assert decided > 50

@@ -158,3 +158,19 @@ def test_select_miners_ranks_by_descending_score():
     nodes = [node_with_tl(i, Position(i, 0), rng.uniform(0, 50)) for i in range(30)]
     scores = [n.trust_score() for n in select_miners(nodes, len(nodes))]
     assert scores == sorted(scores, reverse=True)
+
+
+def test_select_miners_matches_a_full_sort():
+    # many zero-score ties (empty histories), some dead nodes, ids shuffled
+    rng = random.Random(31)
+    for _ in range(40):
+        count = rng.randint(2, 60)
+        ids = rng.sample(range(1000), count)
+        nodes = [node_with_tl(nid, Position(0, 0), rng.choice([0.0, 0.0, 0.0, 1.0, 2.0])
+                              * rng.uniform(1.0, 5.0)) for nid in ids]
+        for n in rng.sample(nodes, count // 5):
+            n.residual_energy = 0.0
+        live = [n for n in nodes if n.alive]
+        full = [n.id for n in sorted(live, key=lambda n: (-n.trust_score(), n.id))]
+        for k in {1, len(live), rng.randint(1, len(live))}:
+            assert [n.id for n in select_miners(nodes, k)] == full[:k]
