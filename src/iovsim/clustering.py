@@ -42,8 +42,7 @@ class LazyClusters(Mapping):
         self._sectors: Dict[int, int] = {}
 
     def __getitem__(self, nid: int) -> ClusterId:
-        pos = self._live[nid]
-        return ClusterId(ring=self.ring_of(nid), sector=self._sector_of(nid, pos))
+        return ClusterId(ring=self.ring_of(nid), sector=self._sector_of(nid))
 
     def ring_of(self, nid: int) -> int:
         """The member's ring, without computing its sector."""
@@ -52,10 +51,11 @@ class LazyClusters(Mapping):
             ring = self._rings[nid] = ring_index(self._live[nid], self._dest, self._d_1hop)
         return ring
 
-    def _sector_of(self, nid: int, pos: Position) -> int:
+    def _sector_of(self, nid: int) -> int:
         sector = self._sectors.get(nid)
         if sector is None:
-            sector = self._sectors[nid] = sector_index(pos, self._dest, self._sector_count)
+            sector = self._sectors[nid] = sector_index(
+                self._live[nid], self._dest, self._sector_count)
         return sector
 
     def __contains__(self, nid) -> bool:
@@ -73,15 +73,12 @@ class LazyClusters(Mapping):
         forwarding node's position, whose bearing from the destination
         breaks ring ties between sectors.
 
-        Nodes not in this map are skipped. Rings use ring_index's
-        arithmetic; sectors are computed only for the lowest ring found,
-        the bearing only when that ring spans more than one sector, and
-        no ClusterId is built.
+        Nodes not in this map are skipped. Sectors are computed only for
+        the lowest ring found, the bearing only when that ring spans more
+        than one sector, and no ClusterId is built.
         """
         live, rings = self._live, self._rings
         dest, d_1hop = self._dest, self._d_1hop
-        ceil, hypot = math.ceil, math.hypot
-        dx, dy = dest.x, dest.y
         best = max_ring
         group: List[Node] = []
         for n in pool:
@@ -91,16 +88,15 @@ class LazyClusters(Mapping):
                 pos = live.get(nid)
                 if pos is None:
                     continue
-                d = hypot(pos.x - dx, pos.y - dy)
-                ring = rings[nid] = 0 if d == 0.0 else ceil(d / d_1hop)
+                ring = rings[nid] = ring_index(pos, dest, d_1hop)
             if ring < best:
                 best = ring
                 group = [n]
             elif ring == best:
                 group.append(n)
-        if len(group) < 2 or self._sector_count == 1:
+        if len(group) < 2:
             return group
-        sectors = [self._sector_of(n.id, live[n.id]) for n in group]
+        sectors = [self._sector_of(n.id) for n in group]
         spanned = set(sectors)
         if len(spanned) == 1:
             return group
