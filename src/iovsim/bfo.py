@@ -14,11 +14,15 @@ between an append delay and a rejection delay, and no chain is copied
 or block hashed. The tamper slots are seeded by m as well, so one
 search prices each distinct m once and reuses it for every split
 (including mirrored ones) with that active length.
+
+The search stops early once every active length its split draw can
+produce has been priced; the rounds it skips cannot change its result
+(see optimize_trace).
 """
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .ledger import Chain, ChainCostModel, SidechainConfig, append_delay, rejection_delay
 from .seeding import mix64
@@ -63,16 +67,27 @@ def bounded_draw(center: float, spread: float, lo: int, hi: int,
     return max(lo, min(hi, value))
 
 
+def _split_draw(cfg: BfoConfig, chain_len: int) -> Tuple[float, float, int, int]:
+    """bounded_draw's (center, spread, lo, hi) for a split point: centre
+    nb*lb/2, spread nb/2, clamped into [1, chain_len - 1]."""
+    return cfg.nb * cfg.lb / 2.0, cfg.nb / 2.0, 1, chain_len - 1
+
+
+def _active_lengths(cfg: BfoConfig, chain_len: int) -> Set[int]:
+    """Every active length min(s, chain_len - s) of a split s the search
+    can draw: s runs over round(center - spread)..round(center + spread)
+    clamped into [lo, hi], the values bounded_draw returns."""
+    center, spread, lo, hi = _split_draw(cfg, chain_len)
+    first, last = (max(lo, min(hi, round(v))) for v in (center - spread, center + spread))
+    return {min(s, chain_len - s) for s in range(first, last + 1)}
+
+
 def spawn_population(cfg: BfoConfig, chain_len: int, rng: random.Random) -> List[Bacterium]:
     """nb bacteria with split points drawn around nb*lb/2, spread nb/2."""
     if chain_len < 2:
         raise ValueError("chain must have at least 2 blocks to split")
-    center = cfg.nb * cfg.lb / 2.0
-    spread = cfg.nb / 2.0
-    return [
-        Bacterium(split_point=bounded_draw(center, spread, 1, chain_len - 1, rng))
-        for _ in range(cfg.nb)
-    ]
+    draw = _split_draw(cfg, chain_len)
+    return [Bacterium(split_point=bounded_draw(*draw, rng)) for _ in range(cfg.nb)]
 
 
 def _price_batch(length: int, slots: Sequence[bool],
@@ -177,12 +192,11 @@ def step_population(population: List[Bacterium], cfg: BfoConfig, chain: Chain,
     by fresh spawns (and evaluated); survivors keep their fitness.
     memo is the search's fitness cache, as in _evaluate."""
     fth = cull_threshold(population, cfg.lb)
-    center = cfg.nb * cfg.lb / 2.0
-    spread = cfg.nb / 2.0
+    draw = _split_draw(cfg, len(chain))
     out = []
     for b in population:
         if b.fitness > fth:
-            fresh = Bacterium(split_point=bounded_draw(center, spread, 1, len(chain) - 1, rng))
+            fresh = Bacterium(split_point=bounded_draw(*draw, rng))
             _evaluate(fresh, cfg, chain, cost, miners, memo)
             out.append(fresh)
         else:
@@ -194,7 +208,20 @@ def optimize_trace(cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
                    miners: Sequence[Tuple[int, float]]
                    ) -> Tuple[SidechainConfig, List[Tuple[int, float, int]]]:
     """Full search; also returns (iteration, best_fitness, best_split)
-    per iteration, iteration 0 being the initial spawn."""
+    per iteration, iteration 0 being the initial spawn.
+
+    The culling rounds stop as soon as every active length the split draw
+    can produce is in the search's memo; the history then repeats the
+    last row up to iteration ni, so it always has ni + 1 rows. No later
+    round could change the result: every evaluated bacterium joins a
+    population whose minimum is taken, so the best fitness is at most
+    every memoised one; any new spawn gets a memoised fitness; the best
+    split changes only on a strict <; and the rng is local to the
+    search, so skipping its later draws moves no other stream. (A
+    fitness is NaN only where an infinite cost or trust meets a zero
+    factor; then no fitness of the search is finite, nothing compares
+    below the first best, and the result is settled at iteration 0.)
+    """
     if len(chain) < 2:
         raise ValueError("chain must have at least 2 blocks to split")
     rng = random.Random(cfg.rng_seed)
@@ -205,7 +232,11 @@ def optimize_trace(cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
     best = min(population, key=lambda b: b.fitness)
     best_split, best_fitness = best.split_point, best.fitness
     history = [(0, best_fitness, best_split)]
+    support = _active_lengths(cfg, len(chain))
     for it in range(1, cfg.ni + 1):
+        if support <= memo.keys():
+            history += [(rest, best_fitness, best_split) for rest in range(it, cfg.ni + 1)]
+            break
         population = step_population(population, cfg, chain, cost, miners, rng, memo)
         contender = min(population, key=lambda b: b.fitness)
         if contender.fitness < best_fitness:
@@ -216,6 +247,7 @@ def optimize_trace(cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
 
 def optimize_split(cfg: BfoConfig, chain: Chain, cost: ChainCostModel,
                    miners: Sequence[Tuple[int, float]]) -> SidechainConfig:
-    """Best split found after ni culling rounds (elitist minimum)."""
+    """Best split found after ni culling rounds (elitist minimum); see
+    optimize_trace for why it may run fewer."""
     result, _ = optimize_trace(cfg, chain, cost, miners)
     return result

@@ -132,7 +132,7 @@ def sector_index(pos: Position, dest: Position, sector_count: int) -> int:
     """
     if not sector_count >= 1:  # also rejects NaN
         raise ValueError("sector_count must be >= 1")
-    if pos == dest or distance(pos, dest) == 0.0:
+    if pos.x == dest.x and pos.y == dest.y:  # also -0.0 vs 0.0, where atan2 gives pi
         return 0
     theta = polar_angle(pos, around=dest)
     sector = int(sector_count * theta / TWO_PI)

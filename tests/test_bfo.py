@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -277,3 +278,83 @@ def test_search_evaluates_each_active_length_once(chain_len, monkeypatch):
     plain_result = optimize_trace(cfg, chain, cost, miners)
     assert len(calls) > len(set(calls))
     assert memo_result == plain_result
+
+
+def _full_length_search(cfg, chain, cost, miners):
+    """Reference search: every one of the ni culling rounds is run."""
+    rng = random.Random(cfg.rng_seed)
+    memo = {}
+    population = spawn_population(cfg, len(chain), rng)
+    for b in population:
+        bfo._evaluate(b, cfg, chain, cost, miners, memo)
+    best = min(population, key=lambda b: b.fitness)
+    best_split, best_fitness = best.split_point, best.fitness
+    history = [(0, best_fitness, best_split)]
+    for it in range(1, cfg.ni + 1):
+        population = step_population(population, cfg, chain, cost, miners, rng, memo)
+        contender = min(population, key=lambda b: b.fitness)
+        if contender.fitness < best_fitness:
+            best_fitness, best_split = contender.fitness, contender.split_point
+        history.append((it, best_fitness, best_split))
+    return SidechainConfig(split_point=best_split, total_len=len(chain)), history
+
+
+def _counting_rounds(monkeypatch):
+    rounds = []
+    real_step = bfo.step_population
+
+    def counted(*args, **kwargs):
+        rounds.append(1)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(bfo, "step_population", counted)
+    return rounds
+
+
+def test_early_stop_matches_full_length_search(monkeypatch):
+    rounds = _counting_rounds(monkeypatch)  # the reference calls the original
+    rng = random.Random(2024)
+    lengths = [2, 3, 5, 12, 18, 19, 20, 37, 60, 300, 4900]
+    chains = {n: build_chain(n) for n in lengths}
+    stopped_early = 0
+    for i in range(320):
+        chain_len = lengths[i % len(lengths)]
+        cfg = BfoConfig(nb=1 if i % 16 == 0 else rng.randint(1, 30),
+                        lb=rng.choice([0.05, 0.5, 0.8, 1.0, 2.0, rng.uniform(0.05, 2.0)]),
+                        ni=0 if i % 23 == 0 else rng.randint(0, 40),
+                        n_eval=10 * rng.randint(1, 3), rng_seed=rng.randrange(1 << 30))
+        # an infinite read cost with a zero-trust miner makes NaN fitnesses
+        dr = math.inf if i % 7 == 0 else rng.random()
+        cost = ChainCostModel(dr, rng.random(), rng.random(), rng.random())
+        miners = [(k, rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+                  for k in range(rng.randint(1, 5))]
+        rounds.clear()
+        got = optimize_trace(cfg, chains[chain_len], cost, miners)
+        stopped_early += len(rounds) < cfg.ni
+        want = _full_length_search(cfg, chains[chain_len], cost, miners)
+        # repr compares NaN rows too, and every float bit for bit
+        assert repr(got) == repr(want), (chain_len, cfg, cost, miners)
+    assert stopped_early > 160  # most searches exercise the stop
+
+
+def test_active_lengths_cover_exactly_what_the_draw_returns():
+    # odd nb with lb = 2 puts both window ends on .5, where round() goes
+    # to the even neighbour
+    for nb, lb, chain_len in [(20, 0.8, 300), (3, 2.0, 40), (5, 2.0, 9), (1, 1.0, 2),
+                              (1, 2.0, 7), (30, 2.0, 19), (7, 0.05, 12)]:
+        cfg = BfoConfig(nb=nb, lb=lb)
+        draw = bfo._split_draw(cfg, chain_len)
+        rng = random.Random(nb)
+        seen = {min(s, chain_len - s)
+                for s in (bounded_draw(*draw, rng) for _ in range(4000))}
+        assert seen == bfo._active_lengths(cfg, chain_len), (nb, lb, chain_len)
+    assert bfo._active_lengths(BfoConfig(nb=3, lb=2.0), 40) == {2, 3, 4}
+
+
+def test_search_stops_once_every_active_length_is_priced(monkeypatch):
+    rounds = _counting_rounds(monkeypatch)
+    cfg = BfoConfig()
+    _, history = optimize_trace(cfg, build_chain(300), ChainCostModel(), ONE_MINER)
+    assert len(rounds) < cfg.ni
+    assert len(history) == cfg.ni + 1
+    assert [it for it, _, _ in history] == list(range(cfg.ni + 1))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -116,6 +117,28 @@ def test_bfo_trace_csv(scenario_file, tmp_path, capsys):
     fits = [float(l.split(",")[1]) for l in lines[1:]]
     assert fits == sorted(fits, reverse=True)
     assert "split=" in capsys.readouterr().out
+
+
+# sha256 of the bfo CSV as the full-length (ni-round) search wrote it;
+# the history is the same for every chain length here because m = 1 wins
+BFO_CSV_SHA256 = {
+    "default": "ac1d64bcf996261c7e67a910a8c689dc1562d20d334191494ed6579aec07ac2e",
+    "scenario": "83db8b7ce1d34b87a4cb525b2ad34398ee1471f1d08525e09b3463f3c0852776",
+}
+
+
+@pytest.mark.parametrize("chain_len", [2, 19, 300])
+@pytest.mark.parametrize("which", ["default", "scenario"])
+def test_bfo_csv_bytes_are_pinned(which, chain_len, scenario_file, tmp_path, capsys):
+    config = scenario_file
+    if which == "default":
+        config = tmp_path / "default.json"
+        config.write_text("{}")
+    out = tmp_path / "bfo.csv"
+    assert main(["bfo", "--config", str(config), "--chain-len", str(chain_len),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BFO_CSV_SHA256[which]
+    assert f" of {chain_len}" in capsys.readouterr().out
 
 
 def test_bfo_rejects_short_chain(scenario_file, tmp_path, capsys):

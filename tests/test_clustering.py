@@ -68,6 +68,28 @@ def test_single_sector_degenerates_to_rings():
         assert sector_index(pos, dest, 1) == 0
 
 
+def test_signed_zero_destination_is_sector_zero():
+    # the destination test compares coordinates, so -0.0 == 0.0 holds;
+    # the angle alone would put this point at pi, half way round
+    assert math.atan2(0.0, -0.0) == math.pi
+    for k in (2, 4, 7):
+        assert sector_index(Position(-0.0, 0.0), Position(0.0, 0.0), k) == 0
+        assert sector_index(Position(0.0, -0.0), Position(-0.0, 0.0), k) == 0
+
+
+def test_sector_matches_floor_of_angle_fraction():
+    rng = random.Random(17)
+    coord = lambda: rng.choice([rng.uniform(-500, 500), float(rng.randint(-3, 3))])
+    for k in range(1, 17):
+        for _ in range(300):
+            dest, pos = Position(coord(), coord()), Position(coord(), coord())
+            if pos == dest:
+                continue
+            theta = polar_angle(pos, around=dest)
+            want = min(math.floor(k * theta / (2 * math.pi)), k - 1)
+            assert sector_index(pos, dest, k) == want, (pos, dest, k)
+
+
 def test_full_cluster_id_example():
     # node due north at one stride: ring 1, second of four quadrant sectors
     nodes = {0: _node(0, 0.0, 0.0), 1: _node(1, 0.0, 100.0)}
